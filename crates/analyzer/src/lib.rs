@@ -29,6 +29,7 @@
 //! assert_eq!(report.high_count(), 1); // NXD001: missing SOA
 //! assert!(report.to_text().contains("RFC 2308"));
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod diagnostic;
 pub mod rules;

@@ -96,6 +96,10 @@ fn producers_for(rows: &[Row], producer_count: usize) -> Vec<Box<dyn FnOnce(SieP
 }
 
 /// One timed streaming run; asserts snapshot ≡ oracle before returning.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark's measured quantity is wall-clock time"
+)]
 fn run_stream(rows: &[Row], producer_count: usize) -> (f64, u64, usize) {
     let engine = StreamEngine::new(stream_config());
     let producers = producers_for(rows, producer_count);
@@ -124,6 +128,10 @@ fn run_stream(rows: &[Row], producer_count: usize) -> (f64, u64, usize) {
     (rate, elapsed.as_nanos() as u64, snap.approx_heap_bytes)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark's measured quantity is wall-clock time"
+)]
 fn main() {
     let quick = std::env::var_os("NXD_BENCH_QUICK").is_some();
     let rows = corpus(if quick { 1 } else { 8 });

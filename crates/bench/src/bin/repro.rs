@@ -10,7 +10,7 @@
 //!
 //! Experiments: scalars fig3 fig4 fig5 fig6 fig7 fig8 table1 fig10 fig12
 //! fig13 fig14 fig15 filter hijack selection detector sinkhole federation
-//! exposure market analyzer lint scale-parallel origin-parallel stream
+//! exposure market analyzer scale-parallel origin-parallel stream
 //! serve-load
 //!
 //! Observability flags:
@@ -168,7 +168,6 @@ fn main() {
             "exposure",
             "market",
             "analyzer",
-            "lint",
             "scale-parallel",
             "origin-parallel",
             "stream",
@@ -240,7 +239,6 @@ fn main() {
             "market" => market_exp(),
             "federation" => federation_exp(&mut worlds),
             "analyzer" => analyzer_exp(),
-            "lint" => lint_exp(),
             "scale-parallel" => scale_parallel_exp(&mut worlds, shards),
             "origin-parallel" => origin_parallel_exp(&mut worlds, shards),
             "stream" => stream_exp(&mut worlds),
@@ -868,6 +866,10 @@ fn resolve_shards(flag: Option<usize>, rows: usize) -> (usize, &'static str) {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timings printed for the operator; results never depend on them"
+)]
 fn scale_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
     use std::time::Instant;
 
@@ -928,6 +930,10 @@ fn scale_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
     println!("rows per shard: [{}]", per_shard.join(", "));
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timings printed for the operator; results never depend on them"
+)]
 fn origin_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
     use std::time::Instant;
 
@@ -1153,6 +1159,10 @@ fn analyzer_exp() {
     );
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timings printed for the operator; results never depend on them"
+)]
 fn stream_exp(worlds: &mut Worlds) {
     use std::time::Instant;
 
@@ -1348,41 +1358,4 @@ fn serve_load_exp(telemetry: &Arc<Telemetry>) {
         commas(served.row_count() as u64)
     );
     println!("paper §3: live sensors stream NXDOMAINs into the passive-DNS plane — reproduced");
-}
-
-fn lint_exp() {
-    use nxd_lint::{find_workspace_root, Baseline, Linter};
-
-    heading("E-LINT — workspace invariant sweep (nxd-lint, strict)");
-    let Some(root) = find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR"))) else {
-        eprintln!("[repro] no workspace root found; skipping lint sweep");
-        return;
-    };
-    let baseline = match std::fs::read_to_string(root.join("lint-baseline.txt")) {
-        Ok(text) => Baseline::parse(&text),
-        Err(_) => Baseline::default(),
-    };
-    let report = match Linter::new().with_baseline(baseline).lint_workspace(&root) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("[repro] lint walk failed: {e}");
-            return;
-        }
-    };
-    println!(
-        "scanned {} files: {} findings, {} suppressed inline, {} baselined, {} stale baseline entries",
-        report.files_scanned,
-        report.len(),
-        report.suppressed,
-        report.baselined,
-        report.stale_baseline.len()
-    );
-    for rule in nxd_lint::catalog() {
-        let n = report.count_for(rule.id);
-        if n > 0 {
-            println!("  {} {}: {n}", rule.id, rule.name);
-        }
-    }
-    report.assert_clean("repro lint sweep");
-    println!("strict mode holds: zero unsuppressed invariant violations");
 }

@@ -9,6 +9,21 @@
 //! 91 M expired domains instead of querying all of them. [`RateLimitedView`]
 //! reproduces that constraint with a token bucket, so experiments must adopt
 //! the same sampling strategy.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod bloom;
 pub mod bucket;

@@ -28,6 +28,7 @@
 //! let join = origin::whois_join(&db, &HistoricWhoisDb::new());
 //! assert_eq!(join.without_history, 1);
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod exposure;
 pub mod extensions;

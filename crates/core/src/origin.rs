@@ -5,6 +5,14 @@
 //! The four functions here are the *serial reference*: one pass each over
 //! the population. [`pipeline`] fuses all four legs into a single sharded
 //! parallel scan with bit-identical results.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod pipeline;
 

@@ -24,6 +24,7 @@
 //! Equivalence across 1/2/4/8 shards is property-tested in
 //! `tests/prop_origin_pipeline.rs`; throughput is tracked by
 //! `benches/origin_pipeline.rs` and the CI bench gate (`BENCH_5.json`).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
 use std::collections::BTreeMap;
 
@@ -59,6 +60,10 @@ pub struct OriginPipeline<'a> {
 
 /// Everything the four §5 legs report, from a single pass.
 #[derive(Debug, Clone, PartialEq)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "dga_fraction is computed once from the merged integer totals"
+)]
 pub struct OriginReport {
     /// Distinct NXDomain names scanned (the population size).
     pub names_scanned: u64,
@@ -171,6 +176,11 @@ impl OriginPipeline<'_> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "a fraction computed once from summed integer totals; nothing accumulates in float"
+    )]
     fn run_inner(&self, store: &ShardedStore, telemetry: Option<&Telemetry>) -> OriginReport {
         let hists = telemetry.map(|t| DetectorHists {
             whois: t

@@ -6,6 +6,14 @@
 //! Every figure has a `*_sharded` twin running the same analysis through the
 //! parallel [`ShardedStore`] executor; results are bit-identical to the
 //! serial versions for any shard count.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::collections::HashMap;
 

@@ -22,6 +22,7 @@
 //! assert!(detected >= 8, "LCG domains are easy to spot");
 //! assert!(!detector.is_dga("wikipedia.org"));
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod corpus;
 pub mod detector;

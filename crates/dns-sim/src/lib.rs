@@ -28,6 +28,7 @@
 //! dns.tick(later);
 //! assert!(resolver.resolve(&dns, &domain, RType::A, later).is_nxdomain());
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod hierarchy;
 pub mod hijack;

@@ -7,6 +7,19 @@
 //! record, optional per-record TTL and class (`IN`), comments (`;`), and
 //! the record types the simulation models (SOA, NS, A, AAAA, CNAME, MX,
 //! TXT, PTR). Parenthesized multi-line SOA values are supported.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};

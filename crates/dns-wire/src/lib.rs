@@ -26,6 +26,21 @@
 //! let response = Message::response(&query, RCode::NxDomain);
 //! assert!(response.is_nxdomain());
 //! ```
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod codec;
 pub mod edns;

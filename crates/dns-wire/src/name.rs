@@ -97,15 +97,18 @@ impl Name {
     ///
     /// # Panics
     /// Panics if `i >= label_count()`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        reason = "documented panic contract: i < label_count(); not a wire-decode path; start/end are label_starts offsets into repr, a construction-time invariant"
+    )]
     pub fn label(&self, i: usize) -> &str {
-        // nxd-lint: allow(NXL002, reason="documented panic contract: i < label_count(); not a wire-decode path")
         let start = self.label_starts[i] as usize;
         let end = self
             .label_starts
             .get(i + 1)
             .map(|&s| s as usize - 1)
             .unwrap_or(self.repr.len());
-        // nxd-lint: allow(NXL002, reason="start/end are label_starts offsets into repr, a construction-time invariant")
         &self.repr[start..end]
     }
 
@@ -134,17 +137,19 @@ impl Name {
     ///
     /// # Panics
     /// Panics if `n > label_count()`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        reason = "guarded by the assert above: first < label_count(); documented panic contract; start is a label boundary inside repr by construction; first < label_starts.len() is guarded by the assert above"
+    )]
     pub fn suffix(&self, n: usize) -> Name {
         assert!(n <= self.label_count(), "suffix longer than name");
         if n == 0 {
             return Name::root();
         }
         let first = self.label_count() - n;
-        // nxd-lint: allow(NXL002, reason="guarded by the assert above: first < label_count(); documented panic contract")
         let start = self.label_starts[first] as usize;
-        // nxd-lint: allow(NXL002, reason="start is a label boundary inside repr by construction")
         let repr = self.repr[start..].to_string();
-        // nxd-lint: allow(NXL002, reason="first < label_starts.len() is guarded by the assert above")
         let label_starts = self.label_starts[first..]
             .iter()
             .map(|&s| s - start as u16)

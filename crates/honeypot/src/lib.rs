@@ -18,6 +18,7 @@
 //! let tally = categorizer.tally(&[probe]);
 //! assert_eq!(tally[&TrafficCategory::MaliciousRequest], 1);
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod categorize;
 pub mod filter;

@@ -16,6 +16,7 @@
 //!     UaClass::ScriptTool { .. }
 //! ));
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod request;
 pub mod ua;

@@ -1,6 +1,19 @@
 //! A tiny blocking HTTP/1.1 GET client — enough to scrape the plane from
 //! `nxdctl obs scrape`, the integration tests, and the example, without a
 //! curl dependency. Hostile responses surface as `Err`, never panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -1,7 +1,20 @@
 //! Minimal HTTP/1.1 request parsing and response writing — just enough
 //! wire handling for the GET-only observability plane, written to the
-//! workspace's hostile-input rules (NXL002: no panics or indexing in
-//! parse paths; malformed requests surface as `Err`).
+//! workspace's hostile-input lints (`clippy::indexing_slicing`,
+//! `unwrap_used`, `panic` and kin: malformed requests surface as `Err`).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{self, BufRead, Write};
 

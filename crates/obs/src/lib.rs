@@ -36,6 +36,7 @@
 //! assert!(scrape.body.contains("demo_total 1"));
 //! server.shutdown();
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod client;
 pub mod http;

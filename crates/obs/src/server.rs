@@ -4,13 +4,14 @@
 //! join every thread).
 //!
 //! Threading model: one acceptor thread pushes accepted connections into a
-//! bounded channel; N worker threads pull and answer them. The workspace's
-//! NXL005 invariant (worker panics must surface as typed data, not die
-//! silently) is preserved differently than in the compute pipelines:
-//! server threads must outlive the function that binds them, so instead of
-//! a crossbeam scope each connection is handled under `catch_unwind` and a
-//! panic becomes an [`EventLevel::Error`](nxd_telemetry::EventLevel)
-//! journal event — observable on the very plane this crate serves.
+//! bounded channel; N worker threads pull and answer them. The invariant
+//! behind the workspace's `thread::spawn` ban (worker panics must surface
+//! as typed data, not die silently) is preserved differently than in the
+//! compute pipelines: server threads must outlive the function that binds
+//! them, so instead of a crossbeam scope each connection is handled under
+//! `catch_unwind` and a panic becomes an
+//! [`EventLevel::Error`](nxd_telemetry::EventLevel) journal event —
+//! observable on the very plane this crate serves.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -173,10 +174,15 @@ impl std::fmt::Debug for ObsServer {
 /// The workspace's one sanctioned detached-spawn site. Server threads must
 /// outlive the function that binds them (a crossbeam scope would join
 /// before `bind` returned), every handle is joined in shutdown, and worker
-/// panics are caught per-connection and journaled — the invariant NXL005
-/// protects (panics surface as typed data) holds by other means.
+/// panics are caught per-connection and journaled — the invariant the
+/// `thread::spawn` ban protects (panics surface as typed data) holds by
+/// other means.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "server threads outlive bind(); all handles joined in shutdown(); per-connection panics are caught and recorded as journal error events"
+)]
 fn spawn_detached(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::spawn(f) // nxd-lint: allow(NXL005, reason="server threads outlive bind(); all handles joined in shutdown(); per-connection panics are caught and recorded as journal error events")
+    std::thread::spawn(f)
 }
 
 fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, shared: &Arc<Shared>) {

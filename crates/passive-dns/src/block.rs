@@ -26,6 +26,16 @@
 //! alignment) and for `rows()` iteration. All summary tallies are exact
 //! integer sums accumulated through `BTreeMap`, so merge results stay
 //! bit-identical to the uncompressed engine.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::collections::BTreeMap;
 
@@ -66,10 +76,18 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     v
 }
 
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "zigzag encoding is a bijective bit reinterpretation; no count is narrowed"
+)]
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "zigzag decoding is a bijective bit reinterpretation; no count is narrowed"
+)]
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }

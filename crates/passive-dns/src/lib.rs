@@ -16,6 +16,7 @@
 //! assert_eq!(query::total_nx_responses(&db), 15);
 //! assert_eq!(query::distinct_nx_names(&db), 1);
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub(crate) mod block;
 pub mod federation;

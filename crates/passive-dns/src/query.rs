@@ -3,6 +3,14 @@
 //! paper runs: monthly NXDOMAIN series (Fig. 3), TLD group-by (Fig. 4),
 //! lifespan decay (Fig. 5), expiry-aligned averages (Fig. 6), deterministic
 //! 1/N sampling (§4.2), and long-lived NXDomain counts (§4.4).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -230,6 +238,10 @@ pub fn expiry_aligned_series(
 /// Slot index → signed day offset relative to expiry. Shared by the serial
 /// and sharded engines so both label series identically; saturates instead
 /// of truncating on (impossible in practice) >i32 spans.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "slot indexes an in-memory series, far below i64::MAX"
+)]
 pub(crate) fn day_offset(slot: usize, before: u32) -> i32 {
     i32::try_from(slot as i64 - i64::from(before)).unwrap_or(i32::MAX)
 }
@@ -239,6 +251,11 @@ pub(crate) fn day_offset(slot: usize, before: u32) -> i32 {
 /// sharded engine sums these across shards before dividing once by the
 /// full panel size, which keeps the division bit-identical to the serial
 /// path.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the range check above puts offset + before in [0, before + after], a valid slot index"
+)]
 pub(crate) fn expiry_aligned_totals(
     db: &PassiveDb,
     expiry_day: &HashMap<NameId, u32>,

@@ -15,6 +15,16 @@
 //! [`crate::query`] engine over an uncompressed store is the pinned
 //! reference both for correctness (prop_block.rs) and for the BENCH_6
 //! speedup gate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::collections::BTreeMap;
 
@@ -202,6 +212,11 @@ pub fn lifespan_histogram(db: &PassiveDb, max_days: u32) -> Vec<LifespanBucket> 
 /// `panel_names`, the full cross-shard panel size, so per-shard series
 /// sum to the serial result bit-for-bit.
 #[must_use]
+#[expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "the series divides summed integer totals once by the full panel size"
+)]
 pub fn expiry_aligned_series(
     db: &PassiveDb,
     panel: &[(NameId, u32)],
@@ -227,6 +242,11 @@ pub fn expiry_aligned_series(
 /// indexed by [`NameId`] (u32::MAX = not in panel), and blocks wholly
 /// outside the panel's day window skip via zone maps.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the range check above puts offset + before in [0, before + after], a valid slot index"
+)]
 pub fn expiry_aligned_totals(
     db: &PassiveDb,
     panel: &[(NameId, u32)],

@@ -23,8 +23,22 @@
 //! Each shard keeps its own intern tables and telemetry cells;
 //! [`ShardedStore::attach_metrics`] labels them `shard="i"` so they roll up
 //! through `nxd-telemetry`'s snapshot/merge algebra.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
-use std::collections::{BTreeMap, HashMap}; // nxd-lint: allow(NXL001, reason="HashMap is only the panel side-input type below; all merge state is BTreeMap")
+#[expect(
+    clippy::disallowed_types,
+    reason = "HashMap is only the panel side-input type below; all merge state is BTreeMap"
+)]
+use std::collections::{BTreeMap, HashMap};
 
 use crossbeam::channel::bounded;
 use nxd_dns_wire::{Name, RCode};
@@ -270,6 +284,10 @@ impl ShardedStore {
 
     /// Fig. 3's per-year monthly averages (parallel
     /// [`query::yearly_avg_monthly_nx`]).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "returns the floats of the shared yearly_from_monthly fold, computed once from merged integer totals"
+    )]
     pub fn yearly_avg_monthly_nx(&self) -> Vec<(i32, f64)> {
         query::yearly_from_monthly(&self.monthly_nx_series())
     }
@@ -334,9 +352,14 @@ impl ShardedStore {
     /// string (shard-local `NameId`s are meaningless across shards). Raw
     /// per-offset totals are summed across shards, then normalized once by
     /// the full panel size — the same division the serial engine performs.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "iterated only to bucket names by home shard; per-offset sums are order-free and the denominator is len(); the f64 series divides the summed integer totals once"
+    )]
     pub fn expiry_aligned_series(
         &self,
-        expiry_day: &HashMap<String, u32>, // nxd-lint: allow(NXL001, reason="iterated only to bucket names by home shard; per-offset sums are order-free and the denominator is len()")
+        expiry_day: &HashMap<String, u32>,
         before: u32,
         after: u32,
     ) -> Vec<(i32, f64)> {
@@ -391,6 +414,11 @@ impl ShardedStore {
 
     /// The NXDOMAIN share of all responses (parallel
     /// [`query::nxdomain_share`]).
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "a fraction computed once from summed integer totals; nothing accumulates in float"
+    )]
     pub fn nxdomain_share(&self) -> f64 {
         let breakdown = self.rcode_breakdown();
         let total: u64 = breakdown.iter().map(|&(_, n)| n).sum();

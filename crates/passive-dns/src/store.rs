@@ -12,6 +12,14 @@
 //! [`PassiveDb::uncompressed`] builds a store that never seals — the
 //! legacy flat layout, kept as the bit-identical reference the property
 //! tests and benchmarks compare the compressed engine against.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::collections::HashMap;
 
@@ -229,6 +237,10 @@ impl PassiveDb {
     /// through the snapshot algebra: [`nxd_telemetry::Snapshot::counter_total`]
     /// sums across label sets and
     /// [`nxd_telemetry::Snapshot::histogram_total`] merges them.
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "gauges are i64; in-memory sizes and counts stay far below i64::MAX"
+    )]
     pub fn attach_metrics_labeled(&mut self, registry: &Registry, labels: &[(&str, &str)]) {
         let next = StoreMetrics::registered(registry, labels);
         next.rows_ingested.add(self.metrics.rows_ingested.get());
@@ -310,6 +322,10 @@ impl PassiveDb {
     }
 
     /// Appends a row whose name id was produced by this store's interner.
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "gauges are i64; in-memory sizes and counts stay far below i64::MAX"
+    )]
     pub fn append(&mut self, obs: Observation) {
         debug_assert!(
             (obs.name.0 as usize) < self.interner.len(),

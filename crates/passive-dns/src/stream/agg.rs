@@ -120,6 +120,10 @@ impl StreamAggregates {
 
     /// ≡ [`crate::query::yearly_avg_monthly_nx`] — same floats, because the
     /// division happens in the shared [`yearly_from_monthly`] fold.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "returns the floats of the shared yearly_from_monthly fold, computed once from merged integer totals"
+    )]
     pub fn yearly_avg_monthly_nx(&self) -> Vec<(i32, f64)> {
         yearly_from_monthly(&self.monthly_nx_series())
     }

@@ -107,6 +107,10 @@ impl StreamMetrics {
 /// the batch query engine over the admitted rows (`tests/prop_stream.rs`
 /// pins this); approximate fields carry their error bounds alongside.
 #[derive(Debug, Clone, PartialEq)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "reported fractions and the sketch's standard error are computed once at snapshot time, never accumulated"
+)]
 pub struct StreamSnapshot {
     /// Rows offered = admitted + late.
     pub offered_rows: u64,

@@ -25,6 +25,16 @@
 //! while still sealing rows into the sharded store for exact replay, and
 //! the nxd-serve sensor sink offers each recorded live query row. Either
 //! way `/metrics` and `/snapshot.json` show the aggregates move mid-run.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod agg;
 pub mod engine;

@@ -19,7 +19,7 @@
 //! Register updates accumulate the harmonic denominator as an exact
 //! fixed-point `u128` (`sum of 2^(64-rank)` in units of `2^-64`), so the
 //! only floating-point work is a single expression at estimate time —
-//! no float accumulation anywhere (NXL004).
+//! no float accumulation anywhere (`clippy::float_arithmetic`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -172,6 +172,10 @@ impl DistinctSketch {
     }
 
     /// Inserts one item (idempotent — duplicates never change the state).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the top `precision` bits of a u64 hash index a 2^precision register array"
+    )]
     pub fn insert(&mut self, item: &str) {
         let h = fnv1a(item.as_bytes(), self.salt);
         let idx = (h >> (64 - self.precision)) as usize;
@@ -201,6 +205,13 @@ impl DistinctSketch {
 
     /// Estimated distinct count. Relative standard error `1.04/sqrt(2^p)`;
     /// the small-range regime uses linear counting over empty registers.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the harmonic sum accumulates exactly in u128; floats appear only in the closed-form estimate, cast to u64 after the non-positive check"
+    )]
     pub fn estimate(&self) -> u64 {
         let m = self.registers.len();
         // Exact fixed-point harmonic denominator in units of 2^-64:
@@ -239,6 +250,11 @@ impl DistinctSketch {
     }
 
     /// Theoretical relative standard error for this precision.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "a closed-form error bound of the precision; nothing accumulates in float"
+    )]
     pub fn standard_error(&self) -> f64 {
         1.04 / (self.registers.len() as f64).sqrt()
     }

@@ -2,8 +2,22 @@
 //! load-drive the front-end without external tools. UDP exchanges follow
 //! the classic stub loop (send, wait, retransmit on timeout, match the
 //! response id); TCP sends pipelined length-prefixed queries on one
-//! connection. This module is in the NXL002 scope — responses come off a
-//! real network and must never panic the client.
+//! connection. This module denies `clippy::indexing_slicing`,
+//! `unwrap_used`, `panic` and kin — responses come off a real network and
+//! must never panic the client.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};

@@ -1,8 +1,21 @@
 //! RFC 1035 §4.2.2 TCP framing: every DNS message on a TCP connection is
-//! preceded by a two-byte big-endian length. This module is in the
-//! workspace's NXL002 scope — hostile framing (split prefixes, zero or
-//! oversize lengths, mid-message disconnects) must surface as `io::Error`,
-//! never as a panic.
+//! preceded by a two-byte big-endian length. This module denies
+//! `clippy::indexing_slicing`, `unwrap_used`, `panic` and kin — hostile
+//! framing (split prefixes, zero or oversize lengths, mid-message
+//! disconnects) must surface as `io::Error`, never as a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{self, Read, Write};
 

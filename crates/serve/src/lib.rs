@@ -31,6 +31,7 @@
 //! * **Observability** — qps, rcode mix, per-request latency, frame errors,
 //!   and handler panics land in nxd-telemetry, so `repro --serve` exposes
 //!   the front-end live on `/metrics`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod client;
 pub mod frame;

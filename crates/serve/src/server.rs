@@ -293,7 +293,9 @@ impl Drop for DnsServer {
     fn drop(&mut self) {
         self.shutdown_inner();
         if let Some(sink) = self.sink.take() {
-            drop(sink.finish());
+            // Drop must not panic: a collector panic re-raised by finish()
+            // is discarded together with the database nobody will read.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.finish()));
         }
     }
 }
@@ -312,9 +314,13 @@ impl std::fmt::Debug for DnsServer {
 /// server threads must outlive `bind` (a crossbeam scope would join before
 /// it returned), every handle is joined in shutdown, and request panics
 /// are caught per job and surfaced as metrics + journal error events — the
-/// invariant NXL005 protects holds by other means.
+/// invariant the `thread::spawn` ban protects holds by other means.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "server threads outlive bind(); all handles joined in shutdown(); per-request panics are caught and recorded as serve_handler_panics_total + journal error events"
+)]
 fn spawn_detached(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::spawn(f) // nxd-lint: allow(NXL005, reason="server threads outlive bind(); all handles joined in shutdown(); per-request panics are caught and recorded as serve_handler_panics_total + journal error events")
+    std::thread::spawn(f)
 }
 
 /// Binds the UDP socket and TCP listener on the same port. The two port

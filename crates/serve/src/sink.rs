@@ -13,9 +13,11 @@
 //! query, so a duplicate key can only be a retransmission. TCP delivers
 //! each pipelined query exactly once, so TCP events are recorded as-is.
 //!
-//! This module is in the NXL001/NXL004 scopes: the dedup set is a
-//! `BTreeSet` and all tallies are integral, so nothing about the served
-//! database depends on arrival order.
+//! This module denies `clippy::disallowed_types` and
+//! `clippy::float_arithmetic`: the dedup set is a `BTreeSet` and all
+//! tallies are integral, so nothing about the served database depends on
+//! arrival order.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
@@ -91,21 +93,32 @@ impl SensorChannel {
 
     /// Drops this side's sender and joins the collector. Callers must drop
     /// (join) every worker first, or this blocks until they exit.
+    ///
+    /// # Panics
+    /// Re-raises a collector panic: a dead collector must not pass for a
+    /// served database that recorded nothing.
     pub fn finish(mut self) -> PassiveDb {
         self.tx = None;
         match self.collector.take() {
-            Some(handle) => handle.join().unwrap_or_default(),
+            Some(handle) => handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
             None => PassiveDb::default(),
         }
     }
 }
 
 /// The sink's sanctioned detached-spawn site: the collector must outlive
-/// `SensorChannel::spawn`, its handle is joined in `finish`, and a
-/// collector panic degrades to an empty database rather than dying
-/// silently — the invariant NXL005 protects holds by other means.
+/// `SensorChannel::spawn`, its handle is joined in `finish`, and `finish`
+/// re-raises a collector panic in its caller — the invariant
+/// `clippy::disallowed_methods` guards here (worker panics are never lost)
+/// holds by other means.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "collector outlives spawn(); handle joined in finish(); a collector panic is re-raised by finish(), not a silent death"
+)]
 fn spawn_collector(f: impl FnOnce() -> PassiveDb + Send + 'static) -> JoinHandle<PassiveDb> {
-    std::thread::spawn(f) // nxd-lint: allow(NXL005, reason="collector outlives spawn(); handle joined in finish(); a panic surfaces as an empty served database and a telemetry gap, not a silent death")
+    std::thread::spawn(f)
 }
 
 fn collect(
@@ -235,5 +248,17 @@ mod tests {
         let db = channel.finish();
         let row = db.row(0);
         assert_eq!((row.day, row.sensor, row.count), (123, 9, 1));
+    }
+
+    #[test]
+    fn a_collector_panic_is_reraised_not_an_empty_database() {
+        let (tx, _rx) = bounded(1);
+        let channel = SensorChannel {
+            tx: Some(tx),
+            collector: Some(spawn_collector(|| panic!("collector died"))),
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| channel.finish()));
+        let payload = outcome.expect_err("finish must unwind when the collector panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"collector died"));
     }
 }

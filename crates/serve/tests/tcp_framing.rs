@@ -1,6 +1,6 @@
 //! Hostile TCP framing against a live server: split prefixes, zero and
 //! oversize lengths, mid-message disconnects, and pipelining. The server
-//! must never panic (NXL002 territory at the socket boundary) — after
+//! must never panic (the no-panic parse lints at the socket boundary) — after
 //! every attack the same server keeps answering clean queries.
 
 use std::io::{Read, Write};

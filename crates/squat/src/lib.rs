@@ -17,6 +17,7 @@
 //! // Generators enumerate what an attacker would register:
 //! assert!(generate::combosquats("paypal.com").contains(&"paypal-login.com".to_string()));
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod classify;
 pub mod edit;

@@ -33,6 +33,18 @@
 //! Non-ASCII bytes (high bit already set) are masked out of every
 //! classification so the kernels agree with the scalar `u8::is_ascii_*`
 //! helpers on arbitrary byte strings, not just clean hostnames.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 /// One `0x01` per byte lane.
 const LO: u64 = 0x0101_0101_0101_0101;

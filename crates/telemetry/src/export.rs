@@ -1,6 +1,7 @@
 //! Exporters: human text table, JSON, and Prometheus text format for
 //! [`Snapshot`]; Chrome trace-event JSON for [`Tracer`] span timelines
 //! (loadable in `chrome://tracing` / Perfetto).
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

@@ -5,6 +5,16 @@
 //! plus one relaxed `fetch_add` — no locks, no floats. Snapshots carry the
 //! full bucket vector and merge associatively, which is what lets shard
 //! snapshots and delta windows compose.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,6 +149,11 @@ impl HistogramSnapshot {
     }
 
     /// Arithmetic mean of recorded values (0.0 when empty).
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "a mean computed once from the integer sum and count"
+    )]
     pub fn mean(&self) -> f64 {
         let count = self.count();
         if count == 0 {
@@ -149,6 +164,13 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (0.0–1.0).
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the rank is computed once from the integer count; q is clamped to [0, 1], so the rank is a non-negative count"
+    )]
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let count = self.count();
         if count == 0 {

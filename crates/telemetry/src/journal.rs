@@ -31,6 +31,7 @@
 //! assert_eq!(newer.len(), 1);
 //! assert_eq!(newer[0].message, "sensor gap");
 //! ```
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -40,6 +40,7 @@
 //! assert_eq!(snapshot.counter_total("resolver_queries_total"), 1);
 //! assert!(snapshot.to_prometheus().contains("resolver_queries_total 1"));
 //! ```
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod export;
 pub mod histogram;

@@ -6,6 +6,7 @@
 //! every hot-path operation goes through a handle holding an `Arc` to the
 //! atomic cell, so instrumented components pay one relaxed atomic op per
 //! event regardless of how many metrics the registry holds.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
 use std::collections::BTreeMap;
 use std::fmt;

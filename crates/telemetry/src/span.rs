@@ -27,6 +27,10 @@ pub struct WallClock {
 }
 
 impl WallClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "WallClock is the TimeSource every sanctioned wall-clock read goes through"
+    )]
     pub fn new() -> Self {
         WallClock {
             origin: Instant::now(),
@@ -80,10 +84,10 @@ impl TimeSource for ManualClock {
 /// A started measurement over a [`TimeSource`] — the sanctioned way to
 /// time an operation outside a [`Tracer`].
 ///
-/// Library code must not call `Instant::now()` directly (lint rule
-/// `NXL003`): a raw clock read can't be replayed. A `Stopwatch` defaults
-/// to a wall clock but accepts any `TimeSource`, so tests drive it with a
-/// [`ManualClock`].
+/// Library code must not call `Instant::now()` directly (it is on the
+/// `clippy::disallowed_methods` list in `clippy.toml`): a raw clock read
+/// can't be replayed. A `Stopwatch` defaults to a wall clock but accepts
+/// any `TimeSource`, so tests drive it with a [`ManualClock`].
 #[derive(Clone)]
 pub struct Stopwatch {
     time: Arc<dyn TimeSource>,

@@ -14,6 +14,7 @@
 //! * [`botnet`] — the gpclick.com botnet actor (Figs. 12, 14, 15).
 //! * [`actors`] / [`table1`] — shared IP pools, User-Agent inventories, and
 //!   the transcribed Table 1 calibration targets.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod actors;
 #[cfg(feature = "bigworld")]

@@ -8,6 +8,21 @@
 //!
 //! Timestamps are plain Unix seconds so this crate stays dependency-light;
 //! callers convert from their simulated clock.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 use std::collections::HashMap;
 

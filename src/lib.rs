@@ -30,6 +30,7 @@
 //! See the `examples/` directory for runnable entry points and
 //! `crates/bench` for the `repro` binary regenerating every table and
 //! figure.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use nxd_analyzer as analyzer;
 pub use nxd_blocklist as blocklist;
