@@ -86,6 +86,7 @@ fn suite_fused(store: &ShardedStore) -> u64 {
         .map(|&(rc, n)| u64::from(rc).wrapping_mul(131).wrapping_add(n))
         .fold(0, u64::wrapping_add);
     digest ^= store
+        .summary()
         .nx_by_sensor()
         .iter()
         .map(|(&s, &n)| u64::from(s).wrapping_mul(17).wrapping_add(n))

@@ -80,7 +80,7 @@ pub fn headline_sharded(store: &ShardedStore) -> ScaleReport {
 
 /// Sharded twin of [`fig3`].
 pub fn fig3_sharded(store: &ShardedStore) -> Vec<(i32, f64)> {
-    store.yearly_avg_monthly_nx()
+    store.summary().yearly_avg_monthly_nx()
 }
 
 /// Sharded twin of [`fig4`].

@@ -20,11 +20,12 @@
 //!
 //! Each block also carries a [`BlockSummary`]: min/max day zone maps plus
 //! exact per-rcode, per-sensor, per-month, and per-TLD NXDOMAIN totals.
-//! Query kernels answer most of the §4 scale families from summaries
-//! alone and use the zone maps to skip blocks a filter can never match;
-//! decoding only happens for the row-level families (lifespan, expiry
-//! alignment) and for `rows()` iteration. All summary tallies are exact
-//! integer sums accumulated through `BTreeMap`, so merge results stay
+//! It is the sealed, per-block form of [`crate::ScaleSummary`]:
+//! [`crate::ScaleSummary::of`] folds these tallies, so the §4 group-bys
+//! never decode a block. Scans use the zone maps to skip blocks a filter
+//! can never match; decoding only happens for the row-level families
+//! (lifespan, expiry alignment) and for `rows()` iteration. All tallies
+//! are exact integer sums accumulated through `BTreeMap`, so results stay
 //! bit-identical to the uncompressed engine.
 #![cfg_attr(
     not(test),
@@ -347,8 +348,8 @@ impl RcodeCol {
 
 /// Zone maps and exact pre-aggregated totals for one sealed block.
 ///
-/// Built once at seal time with `BTreeMap` accumulators (sorted output,
-/// integer sums), so any merge over summaries is order-independent and
+/// Built once at seal time as `BTreeMap` tallies (sorted keys, integer
+/// sums), so any merge over summaries is order-independent and
 /// bit-identical to scanning the decoded rows.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockSummary {
@@ -359,33 +360,52 @@ pub(crate) struct BlockSummary {
     pub max_day: u32,
     /// Rows carrying NXDOMAIN.
     pub nx_rows: usize,
-    /// Summed `count` per rcode, sorted by rcode.
-    pub rcode_totals: Vec<(u8, u64)>,
-    /// Summed NXDOMAIN `count` per sensor, sorted by sensor.
-    pub nx_by_sensor: Vec<(u16, u64)>,
-    /// Summed NXDOMAIN `count` per month index, sorted by month.
-    pub nx_by_month: Vec<(i64, u64)>,
-    /// Summed NXDOMAIN `count` per TLD id, sorted by TLD id.
-    pub nx_by_tld: Vec<(u32, u64)>,
+    /// Summed `count` per rcode.
+    pub rcode_totals: BTreeMap<u8, u64>,
+    /// Summed NXDOMAIN `count` per sensor.
+    pub nx_by_sensor: BTreeMap<u16, u64>,
+    /// Summed NXDOMAIN `count` per month index.
+    pub nx_by_month: BTreeMap<i64, u64>,
+    /// Summed NXDOMAIN `count` per TLD id.
+    pub nx_by_tld: BTreeMap<u32, u64>,
 }
 
 impl BlockSummary {
-    /// Summed `count` for one rcode (0 when the block has none).
-    pub fn rcode_total(&self, rcode: u8) -> u64 {
-        match self
-            .rcode_totals
-            .binary_search_by_key(&rcode, |&(rc, _)| rc)
-        {
-            Ok(i) => self.rcode_totals[i].1,
-            Err(_) => 0,
+    /// Tallies raw columns. The interner is only consulted for the per-TLD
+    /// totals. [`Block::seal`] summarizes each block this way, and
+    /// [`crate::ScaleSummary::of`] summarizes the unsealed tail the same way.
+    pub fn of(cols: RawColumns<'_>, nx_rcode: u8, interner: &Interner) -> BlockSummary {
+        let (names, days, sensors, rcodes, counts) = cols;
+        let mut rcode_totals: BTreeMap<u8, u64> = BTreeMap::new();
+        let mut nx_by_sensor: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut nx_by_month: BTreeMap<i64, u64> = BTreeMap::new();
+        let mut nx_by_tld: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut nx_rows = 0usize;
+        for i in 0..names.len() {
+            let c = u64::from(counts[i]);
+            *rcode_totals.entry(rcodes[i]).or_insert(0) += c;
+            if rcodes[i] == nx_rcode {
+                nx_rows += 1;
+                *nx_by_sensor.entry(sensors[i]).or_insert(0) += c;
+                *nx_by_month.entry(month_of_day(days[i])).or_insert(0) += c;
+                *nx_by_tld.entry(interner.tld_id(names[i])).or_insert(0) += c;
+            }
+        }
+        BlockSummary {
+            rows: names.len(),
+            min_day: days.iter().copied().min().unwrap_or(0),
+            max_day: days.iter().copied().max().unwrap_or(0),
+            nx_rows,
+            rcode_totals,
+            nx_by_sensor,
+            nx_by_month,
+            nx_by_tld,
         }
     }
 
     /// Whether the block contains any row with `rcode`.
     pub fn has_rcode(&self, rcode: u8) -> bool {
-        self.rcode_totals
-            .binary_search_by_key(&rcode, |&(rc, _)| rc)
-            .is_ok()
+        self.rcode_totals.contains_key(&rcode)
     }
 
     fn byte_len(&self) -> usize {
@@ -454,31 +474,7 @@ impl Block {
         let count_width = Packed::width_for(counts.iter().copied().max().unwrap_or(0));
         let counts_packed = Packed::encode(counts.iter().copied(), count_width);
 
-        let mut rcode_totals: BTreeMap<u8, u64> = BTreeMap::new();
-        let mut nx_by_sensor: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut nx_by_month: BTreeMap<i64, u64> = BTreeMap::new();
-        let mut nx_by_tld: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut nx_rows = 0usize;
-        for i in 0..rows {
-            let c = u64::from(counts[i]);
-            *rcode_totals.entry(rcodes[i]).or_insert(0) += c;
-            if rcodes[i] == nx_rcode {
-                nx_rows += 1;
-                *nx_by_sensor.entry(sensors[i]).or_insert(0) += c;
-                *nx_by_month.entry(month_of_day(days[i])).or_insert(0) += c;
-                *nx_by_tld.entry(interner.tld_id(names[i])).or_insert(0) += c;
-            }
-        }
-        let summary = BlockSummary {
-            rows,
-            min_day: days.iter().copied().min().unwrap_or(0),
-            max_day: days.iter().copied().max().unwrap_or(0),
-            nx_rows,
-            rcode_totals: rcode_totals.into_iter().collect(),
-            nx_by_sensor: nx_by_sensor.into_iter().collect(),
-            nx_by_month: nx_by_month.into_iter().collect(),
-            nx_by_tld: nx_by_tld.into_iter().collect(),
-        };
+        let summary = BlockSummary::of(cols, nx_rcode, interner);
 
         Block {
             rows,
@@ -596,14 +592,12 @@ mod tests {
         assert_eq!(s.rows, 4);
         assert_eq!((s.min_day, s.max_day), (10, 70));
         assert_eq!(s.nx_rows, 3);
-        assert_eq!(s.rcode_total(3), 23);
-        assert_eq!(s.rcode_total(0), 100);
-        assert_eq!(s.rcode_total(2), 0);
+        assert_eq!(s.rcode_totals, BTreeMap::from([(0, 100), (3, 23)]));
         assert!(s.has_rcode(0) && !s.has_rcode(2));
-        assert_eq!(s.nx_by_sensor, vec![(0, 12), (1, 11)]);
+        assert_eq!(s.nx_by_sensor, BTreeMap::from([(0, 12), (1, 11)]));
         assert_eq!(
             s.nx_by_tld,
-            vec![(interner.tld_id(a), 12), (interner.tld_id(b), 11),]
+            BTreeMap::from([(interner.tld_id(a), 12), (interner.tld_id(b), 11)])
         );
         // Days 10/40 are January 1970-epoch months 0/1 relative to the sim
         // calendar — just assert consistency with the shared conversion.
@@ -611,7 +605,7 @@ mod tests {
         for i in [0usize, 2, 3] {
             *want.entry(month_of_day(days[i])).or_insert(0) += u64::from(counts[i]);
         }
-        assert_eq!(s.nx_by_month, want.into_iter().collect::<Vec<_>>());
+        assert_eq!(s.nx_by_month, want);
     }
 
     #[test]

@@ -16,6 +16,12 @@ pub fn fnv1a(bytes: &[u8], salt: u64) -> u64 {
     hash
 }
 
+/// Whether `name` is in the deterministic 1-in-`n` sample (§4.2) under
+/// `salt`: the one membership predicate of the batch query and the stream.
+pub fn in_sample(name: &str, n: u64, salt: u64) -> bool {
+    fnv1a(name.as_bytes(), salt).is_multiple_of(n)
+}
+
 /// Salt reserved for shard placement so it can never collide with a
 /// user-chosen sampling salt.
 const SHARD_SALT: u64 = 0x5AAD_0000_0000_0001;

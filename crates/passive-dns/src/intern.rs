@@ -46,7 +46,7 @@ impl Interner {
         let boxed: Box<str> = name.into();
         self.lookup.insert(boxed.clone(), id);
         self.names.push(boxed);
-        let tld = name.rsplit('.').next().unwrap_or("");
+        let tld = crate::summary::tld_of(name);
         let tld_id = match self.tld_lookup.get(tld) {
             Some(&t) => t,
             None => {

@@ -29,6 +29,7 @@ pub mod shard;
 pub mod sie;
 pub mod store;
 pub mod stream;
+pub mod summary;
 
 pub use federation::{Coverage, Federation};
 pub use hash::shard_of;
@@ -38,3 +39,4 @@ pub use shard::{auto_shard_count, auto_shard_count_here, ShardedStore};
 pub use sie::{collect_parallel, collect_sharded, collect_stream, SieError, SieProducer};
 pub use store::{NameAggregate, Observation, PassiveDb};
 pub use stream::{Admission, StreamConfig, StreamEngine, StreamSnapshot};
+pub use summary::ScaleSummary;

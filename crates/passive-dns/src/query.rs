@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 use nxd_dns_sim::SimTime;
 use nxd_dns_wire::RCode;
 
-use crate::hash::fnv1a;
+use crate::hash::in_sample;
 use crate::intern::NameId;
 use crate::store::{PassiveDb, ScanFilter};
 
@@ -102,9 +102,9 @@ pub fn yearly_avg_monthly_nx(db: &PassiveDb) -> Vec<(i32, f64)> {
     yearly_from_monthly(&monthly_nx_series(db))
 }
 
-/// Folds a monthly series into per-year monthly averages. Shared by the
-/// serial and sharded engines so both produce bit-identical floats from
-/// the same monthly totals.
+/// Folds a monthly series into per-year monthly averages. Shared by this
+/// oracle and [`crate::ScaleSummary`] so both produce bit-identical floats
+/// from the same monthly totals.
 pub fn yearly_from_monthly(monthly: &[(i64, u64)]) -> Vec<(i32, f64)> {
     let mut per_year: HashMap<i32, (u64, u32)> = HashMap::new();
     for &(month_index, responses) in monthly {
@@ -160,7 +160,7 @@ pub fn sample_nx_names(db: &PassiveDb, n: u64, salt: u64) -> Vec<NameId> {
     assert!(n > 0, "sampling ratio must be positive");
     let mut out: Vec<NameId> = db
         .nx_names()
-        .filter(|(id, _)| fnv1a(db.interner().resolve(*id).as_bytes(), salt).is_multiple_of(n))
+        .filter(|(id, _)| in_sample(db.interner().resolve(*id), n, salt))
         .map(|(id, _)| id)
         .collect();
     out.sort();

@@ -1,19 +1,17 @@
-//! Summary-accelerated scans over the compressed block layout.
+//! The two row-level §4 kernels over the compressed block layout: the
+//! Fig. 5 lifespan histogram and the Fig. 6 expiry-aligned totals.
 //!
-//! Each function here answers the same question as its [`crate::query`]
-//! twin and is property-tested to return bit-identical results; the
-//! difference is *how*. Sealed blocks carry exact pre-aggregated
-//! summaries ([`crate::block::BlockSummary`]) built at seal time, so the
-//! whole-store group-bys (rcode breakdown, monthly NXDOMAIN series,
-//! per-sensor and per-TLD totals) fold summaries instead of decoding
-//! rows — the analogue of BigQuery answering an aggregate from column
-//! statistics. Scans that need per-row context (lifespan offsets,
-//! expiry alignment) still decode, but replace per-row hash-map traffic
-//! with dense arrays indexed by the interner's dense [`NameId`]s.
+//! Whole-store group-bys (rcode breakdown, monthly NXDOMAIN series,
+//! per-sensor and per-TLD totals) need no scan at all:
+//! [`crate::ScaleSummary::of`] folds the sealed blocks' seal-time
+//! summaries. These two families need per-row context (each name's first
+//! NX day, each name's expiry day), so they decode the blocks a
+//! `ScanFilter` admits. They replace the oracle's per-row hash-map
+//! traffic with dense arrays indexed by the interner's dense [`NameId`]s.
 //!
-//! These kernels power [`crate::ShardedStore`]'s fan-out; the serial
+//! They power [`crate::ShardedStore`]'s fan-out. The serial
 //! [`crate::query`] engine over an uncompressed store is the pinned
-//! reference both for correctness (prop_block.rs) and for the BENCH_6
+//! reference, both for correctness (prop_block.rs) and for the BENCH_6
 //! speedup gate.
 #![cfg_attr(
     not(test),
@@ -26,135 +24,11 @@
     )
 )]
 
-use std::collections::BTreeMap;
-
 use nxd_dns_wire::RCode;
 
-use crate::block::month_of_day;
 use crate::intern::NameId;
-use crate::query::{LifespanBucket, TldStat};
+use crate::query::LifespanBucket;
 use crate::store::{PassiveDb, ScanFilter};
-
-/// Total responses carrying `rcode`: summary fold over sealed blocks plus
-/// a scalar pass over the tail. Never decodes a block.
-#[must_use]
-pub fn total_responses(db: &PassiveDb, rcode: RCode) -> u64 {
-    let _t = db.time_query();
-    let want = rcode.to_u8();
-    let mut total: u64 = db
-        .sealed_blocks()
-        .iter()
-        .map(|b| b.summary().rcode_total(want))
-        .sum();
-    let (_, _, _, rcodes, counts) = db.tail_columns();
-    for i in 0..rcodes.len() {
-        if rcodes[i] == want {
-            total += counts[i] as u64;
-        }
-    }
-    total
-}
-
-/// Response counts per rcode, `(wire value, responses)` sorted by rcode.
-/// Summary fold; never decodes a block.
-#[must_use]
-pub fn rcode_breakdown(db: &PassiveDb) -> Vec<(u8, u64)> {
-    let _t = db.time_query();
-    let mut map: BTreeMap<u8, u64> = BTreeMap::new();
-    for block in db.sealed_blocks() {
-        for &(rc, n) in &block.summary().rcode_totals {
-            *map.entry(rc).or_insert(0) += n;
-        }
-    }
-    let (_, _, _, rcodes, counts) = db.tail_columns();
-    for i in 0..rcodes.len() {
-        *map.entry(rcodes[i]).or_insert(0) += counts[i] as u64;
-    }
-    map.into_iter().collect()
-}
-
-/// NXDOMAIN responses per calendar month, `(month_index, responses)`
-/// sorted by month. Summary fold; never decodes a block.
-#[must_use]
-pub fn monthly_nx_series(db: &PassiveDb) -> Vec<(i64, u64)> {
-    let _t = db.time_query();
-    let want = RCode::NxDomain.to_u8();
-    let mut map: BTreeMap<i64, u64> = BTreeMap::new();
-    for block in db.sealed_blocks() {
-        for &(month, n) in &block.summary().nx_by_month {
-            *map.entry(month).or_insert(0) += n;
-        }
-    }
-    let (_, days, _, rcodes, counts) = db.tail_columns();
-    for i in 0..days.len() {
-        if rcodes[i] == want {
-            *map.entry(month_of_day(days[i])).or_insert(0) += counts[i] as u64;
-        }
-    }
-    map.into_iter().collect()
-}
-
-/// NXDOMAIN responses grouped by sensor id. Summary fold; never decodes
-/// a block.
-#[must_use]
-pub fn nx_by_sensor(db: &PassiveDb) -> BTreeMap<u16, u64> {
-    let _t = db.time_query();
-    let want = RCode::NxDomain.to_u8();
-    let mut out: BTreeMap<u16, u64> = BTreeMap::new();
-    for block in db.sealed_blocks() {
-        for &(sensor, n) in &block.summary().nx_by_sensor {
-            *out.entry(sensor).or_insert(0) += n;
-        }
-    }
-    let (_, _, sensors, rcodes, counts) = db.tail_columns();
-    for i in 0..sensors.len() {
-        if rcodes[i] == want {
-            *out.entry(sensors[i]).or_insert(0) += counts[i] as u64;
-        }
-    }
-    out
-}
-
-/// NXDomain names and query volumes per TLD, sorted like
-/// [`crate::query::tld_distribution`] (descending name count, then TLD).
-/// Name counts come from the aggregate index; query volumes fold the
-/// per-block `nx_by_tld` summaries plus the tail — dense arrays indexed
-/// by the interner's dense TLD ids, no hashing.
-#[must_use]
-pub fn tld_distribution(db: &PassiveDb) -> Vec<TldStat> {
-    let _t = db.time_query();
-    let tlds = db.interner().tld_count();
-    let mut names_by_tld = vec![0u64; tlds];
-    for (id, _) in db.nx_names() {
-        names_by_tld[db.interner().tld_id(id) as usize] += 1;
-    }
-    let mut queries_by_tld = vec![0u64; tlds];
-    for block in db.sealed_blocks() {
-        for &(tld_id, n) in &block.summary().nx_by_tld {
-            queries_by_tld[tld_id as usize] += n;
-        }
-    }
-    let want = RCode::NxDomain.to_u8();
-    let (ids, _, _, rcodes, counts) = db.tail_columns();
-    for i in 0..ids.len() {
-        if rcodes[i] == want {
-            queries_by_tld[db.interner().tld_id(ids[i]) as usize] += counts[i] as u64;
-        }
-    }
-    let mut out: Vec<TldStat> = (0..tlds)
-        .filter(|&t| names_by_tld[t] > 0)
-        .map(|t| TldStat {
-            tld: db
-                .interner()
-                .resolve_tld(u32::try_from(t).unwrap_or(u32::MAX))
-                .to_string(),
-            nx_names: names_by_tld[t],
-            nx_queries: queries_by_tld[t],
-        })
-        .collect();
-    out.sort_by(|a, b| b.nx_names.cmp(&a.nx_names).then_with(|| a.tld.cmp(&b.tld)));
-    out
-}
 
 /// Fig. 5 lifespan histogram, identical to
 /// [`crate::query::lifespan_histogram`] but hash-free: first-NX days live
@@ -206,41 +80,10 @@ pub fn lifespan_histogram(db: &PassiveDb, max_days: u32) -> Vec<LifespanBucket> 
         .collect()
 }
 
-/// Fig. 6 expiry-aligned averages over a `(name, expiry day)` panel —
-/// the sharded engines' slice-friendly twin of
-/// [`crate::query::expiry_aligned_series`]. Divides summed totals once by
-/// `panel_names`, the full cross-shard panel size, so per-shard series
-/// sum to the serial result bit-for-bit.
-#[must_use]
-#[expect(
-    clippy::disallowed_types,
-    clippy::float_arithmetic,
-    reason = "the series divides summed integer totals once by the full panel size"
-)]
-pub fn expiry_aligned_series(
-    db: &PassiveDb,
-    panel: &[(NameId, u32)],
-    panel_names: usize,
-    before: u32,
-    after: u32,
-) -> Vec<(i32, f64)> {
-    let _t = db.time_query();
-    if panel_names == 0 {
-        return Vec::new();
-    }
-    let totals = expiry_aligned_totals(db, panel, before, after);
-    let denom = panel_names as f64;
-    totals
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (crate::query::day_offset(i, before), t as f64 / denom))
-        .collect()
-}
-
-/// The un-normalized totals behind [`expiry_aligned_series`]: summed
-/// query counts per day-offset slot. Expiry days live in a dense array
-/// indexed by [`NameId`] (u32::MAX = not in panel), and blocks wholly
-/// outside the panel's day window skip via zone maps.
+/// Fig. 6's un-normalized totals: summed query counts per day-offset slot
+/// in `[-before, after]` over a `(name, expiry day)` panel. Expiry days
+/// live in a dense array indexed by [`NameId`] (u32::MAX = not in panel),
+/// and blocks wholly outside the panel's day window skip via zone maps.
 #[must_use]
 #[expect(
     clippy::cast_possible_truncation,
@@ -318,18 +161,19 @@ mod tests {
     fn summary_scans_match_query_engine() {
         for block_rows in [7, 16, usize::MAX] {
             let db = mixed_db(block_rows);
+            let summary = db.summary();
             assert_eq!(
-                total_responses(&db, RCode::NxDomain),
+                summary.total_responses(RCode::NxDomain),
                 query::total_responses(&db, RCode::NxDomain)
             );
             assert_eq!(
-                total_responses(&db, RCode::NoError),
+                summary.total_responses(RCode::NoError),
                 query::total_responses(&db, RCode::NoError)
             );
-            assert_eq!(rcode_breakdown(&db), query::rcode_breakdown(&db));
-            assert_eq!(monthly_nx_series(&db), query::monthly_nx_series(&db));
-            assert_eq!(nx_by_sensor(&db), query::nx_by_sensor(&db));
-            assert_eq!(tld_distribution(&db), query::tld_distribution(&db));
+            assert_eq!(summary.rcode_breakdown(), query::rcode_breakdown(&db));
+            assert_eq!(summary.monthly_nx_series(), query::monthly_nx_series(&db));
+            assert_eq!(summary.nx_by_sensor(), query::nx_by_sensor(&db));
+            assert_eq!(summary.tld_distribution(), query::tld_distribution(&db));
             assert_eq!(
                 lifespan_histogram(&db, 40),
                 query::lifespan_histogram(&db, 40)
@@ -346,12 +190,14 @@ mod tests {
                 .map(|(id, agg)| (id, agg.first_nx_day + 3))
                 .collect();
             let map: std::collections::HashMap<NameId, u32> = panel.iter().copied().collect();
-            let fast = expiry_aligned_series(&db, &panel, map.len(), 10, 20);
+            let totals = expiry_aligned_totals(&db, &panel, 10, 20);
             let slow = query::expiry_aligned_series(&db, &map, 10, 20);
-            assert_eq!(fast.len(), slow.len());
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.0, s.0);
-                assert_eq!(f.1.to_bits(), s.1.to_bits(), "offset {}", f.0);
+            assert_eq!(totals.len(), slow.len());
+            // The oracle divides the same integer totals once by the panel
+            // size, so the floats agree to the bit.
+            for (t, s) in totals.iter().zip(&slow) {
+                let fast = *t as f64 / map.len() as f64;
+                assert_eq!(fast.to_bits(), s.1.to_bits(), "offset {}", s.0);
             }
         }
     }
@@ -359,7 +205,7 @@ mod tests {
     #[test]
     fn empty_panel_is_empty_series() {
         let db = mixed_db(8);
-        assert!(expiry_aligned_series(&db, &[], 0, 5, 5).is_empty());
         assert_eq!(expiry_aligned_totals(&db, &[], 5, 5), vec![0u64; 11]);
+        assert!(query::expiry_aligned_series(&db, &Default::default(), 5, 5).is_empty());
     }
 }

@@ -5,20 +5,19 @@
 //! *every row of a name lands in exactly one shard*, per-name aggregates
 //! (first/last NX day, per-name query totals) are complete within their
 //! shard, so every analysis of the paper's §4 scale leg decomposes into
-//! independent per-shard scans plus an order-independent merge:
+//! independent per-shard work plus an order-independent merge:
 //!
-//! * scalar totals merge by addition;
-//! * keyed series (monthly trend, TLD distribution, rcode/sensor
-//!   breakdowns) merge by summing values under equal keys;
+//! * whole-store group-bys merge the shards' memoized [`ScaleSummary`]s,
+//!   the one aggregate algebra the serial store and stream engine share;
+//! * row-level families (lifespan, expiry alignment, long-lived counts)
+//!   add per-shard partials slot by slot;
 //! * name-level results (distinct counts, samples, lifespan name counts)
-//!   merge by disjoint union — the shard invariant guarantees no name is
-//!   counted twice.
+//!   merge by disjoint union — no name is counted twice.
 //!
-//! The parallel executor fans each query out across scoped worker threads
-//! (one per shard) and merges partials in shard order; since every merge is
-//! commutative and associative over the partials, results are bit-identical
-//! to the serial engine for any shard count — property-tested in
-//! `tests/prop_shard.rs`.
+//! [`ShardedStore::par_map_indexed`] runs one scoped worker per shard and
+//! reassembles partials in shard order; every merge is commutative and
+//! associative, so results are bit-identical to the serial engine for any
+//! shard count — property-tested in `tests/prop_shard.rs`.
 //!
 //! Each shard keeps its own intern tables and telemetry cells;
 //! [`ShardedStore::attach_metrics`] labels them `shard="i"` so they roll up
@@ -36,9 +35,9 @@
 
 #[expect(
     clippy::disallowed_types,
-    reason = "HashMap is only the panel side-input type below; all merge state is BTreeMap"
+    reason = "HashMap is only the panel side-input type below; merge state lives in ScaleSummary's BTreeMaps"
 )]
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crossbeam::channel::bounded;
 use nxd_dns_wire::{Name, RCode};
@@ -48,6 +47,7 @@ use crate::hash::shard_of;
 use crate::query::{self, LifespanBucket, TldStat};
 use crate::scan;
 use crate::store::{Observation, PassiveDb};
+use crate::summary::ScaleSummary;
 
 /// Rows per shard below which extra shards stop paying for themselves:
 /// thread spawn/merge overhead dominates sub-256Ki-row scans (4 compressed
@@ -72,7 +72,7 @@ pub fn auto_shard_count_here(rows: usize) -> usize {
     auto_shard_count(rows, cores)
 }
 
-/// A hash-partitioned set of [`PassiveDb`] shards with a parallel query
+/// A hash-partitioned set of [`PassiveDb`] shards with a parallel
 /// executor.
 #[derive(Debug)]
 pub struct ShardedStore {
@@ -217,8 +217,19 @@ impl ShardedStore {
         F: Fn(&'s PassiveDb) -> R + Sync,
         R: Send,
     {
+        self.par_map_indexed(|_, db| f(db))
+    }
+
+    /// [`ShardedStore::par_map`] with the shard index passed through, for
+    /// closures that need per-shard side inputs (or per-shard telemetry
+    /// labels).
+    pub fn par_map_indexed<'s, R, F>(&'s self, f: F) -> Vec<R>
+    where
+        F: Fn(usize, &'s PassiveDb) -> R + Sync,
+        R: Send,
+    {
         if self.shards.len() == 1 {
-            return vec![f(&self.shards[0])];
+            return vec![f(0, &self.shards[0])];
         }
         let (tx, rx) = bounded::<(usize, R)>(self.shards.len());
         let partials = crossbeam::thread::scope(|scope| {
@@ -226,7 +237,8 @@ impl ShardedStore {
                 let tx = tx.clone();
                 let f = &f;
                 scope.spawn(move |_| {
-                    tx.send((idx, f(shard))).expect("query collector hung up");
+                    tx.send((idx, f(idx, shard)))
+                        .expect("query collector hung up");
                 });
             }
             drop(tx);
@@ -243,75 +255,40 @@ impl ShardedStore {
             .collect()
     }
 
-    // ---- parallel query executor ---------------------------------------
+    // ---- parallel queries -----------------------------------------------
     //
-    // Each method fans the summary-accelerated `crate::scan` kernel (or,
-    // for aggregate-index scans, the matching `crate::query` function) out
-    // across the shards and merges the partials with a deterministic,
-    // order-independent reduction. The scan kernels are property-tested
-    // bit-identical to their `query` twins, so the merge algebra — and
-    // therefore parity with the serial engine — is unchanged.
+    // Group-bys merge the shards' summaries; row-level families add the
+    // per-shard `crate::scan` (or `crate::query`) partials.
 
-    /// Total responses carrying `rcode` (parallel [`scan::total_responses`]).
-    pub fn total_responses(&self, rcode: RCode) -> u64 {
-        self.par_map(|db| scan::total_responses(db, rcode))
-            .into_iter()
-            .sum()
+    /// The §4 [`ScaleSummary`] of every row: the shards' memoized
+    /// [`PassiveDb::summary`]s, merged. The five methods below read one
+    /// accessor each; prefer `summary()` when asking more than one.
+    pub fn summary(&self) -> ScaleSummary {
+        let mut merged = ScaleSummary::default();
+        for part in self.par_map(PassiveDb::summary) {
+            merged.merge(part);
+        }
+        merged
     }
 
-    /// Total NXDOMAIN responses (parallel [`query::total_nx_responses`]).
     pub fn total_nx_responses(&self) -> u64 {
-        self.total_responses(RCode::NxDomain)
+        self.summary().total_nx_responses()
     }
 
-    /// Distinct names that ever received an NXDOMAIN response (parallel
-    /// [`query::distinct_nx_names`]).
     pub fn distinct_nx_names(&self) -> u64 {
-        self.par_map(query::distinct_nx_names).into_iter().sum()
+        self.summary().distinct_nx_names()
     }
 
-    /// NXDOMAIN responses per calendar month (parallel
-    /// [`scan::monthly_nx_series`]).
     pub fn monthly_nx_series(&self) -> Vec<(i64, u64)> {
-        let mut merged: BTreeMap<i64, u64> = BTreeMap::new();
-        for partial in self.par_map(scan::monthly_nx_series) {
-            for (month, responses) in partial {
-                *merged.entry(month).or_insert(0) += responses;
-            }
-        }
-        merged.into_iter().collect()
+        self.summary().monthly_nx_series()
     }
 
-    /// Fig. 3's per-year monthly averages (parallel
-    /// [`query::yearly_avg_monthly_nx`]).
-    #[expect(
-        clippy::disallowed_types,
-        reason = "returns the floats of the shared yearly_from_monthly fold, computed once from merged integer totals"
-    )]
-    pub fn yearly_avg_monthly_nx(&self) -> Vec<(i32, f64)> {
-        query::yearly_from_monthly(&self.monthly_nx_series())
-    }
-
-    /// Fig. 4's TLD distribution (parallel [`scan::tld_distribution`]).
     pub fn tld_distribution(&self) -> Vec<TldStat> {
-        let mut merged: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for partial in self.par_map(scan::tld_distribution) {
-            for stat in partial {
-                let entry = merged.entry(stat.tld).or_insert((0, 0));
-                entry.0 += stat.nx_names;
-                entry.1 += stat.nx_queries;
-            }
-        }
-        let mut out: Vec<TldStat> = merged
-            .into_iter()
-            .map(|(tld, (nx_names, nx_queries))| TldStat {
-                tld,
-                nx_names,
-                nx_queries,
-            })
-            .collect();
-        out.sort_by(|a, b| b.nx_names.cmp(&a.nx_names).then_with(|| a.tld.cmp(&b.tld)));
-        out
+        self.summary().tld_distribution()
+    }
+
+    pub fn rcode_breakdown(&self) -> Vec<(u8, u64)> {
+        self.summary().rcode_breakdown()
     }
 
     /// Deterministic 1-in-`n` sample of NXDomain names, as sorted strings
@@ -331,20 +308,16 @@ impl ShardedStore {
     /// Name counts add exactly because each name's rows — and therefore its
     /// first-NX-day anchor — live in a single shard.
     pub fn lifespan_histogram(&self, max_days: u32) -> Vec<LifespanBucket> {
-        let mut merged: Vec<LifespanBucket> = (0..=max_days)
-            .map(|d| LifespanBucket {
-                day_offset: d,
-                names: 0,
-                queries: 0,
+        self.par_map(|db| scan::lifespan_histogram(db, max_days))
+            .into_iter()
+            .reduce(|mut merged, partial| {
+                for (slot, bucket) in merged.iter_mut().zip(partial) {
+                    slot.names += bucket.names;
+                    slot.queries += bucket.queries;
+                }
+                merged
             })
-            .collect();
-        for partial in self.par_map(|db| scan::lifespan_histogram(db, max_days)) {
-            for (slot, bucket) in merged.iter_mut().zip(partial) {
-                slot.names += bucket.names;
-                slot.queries += bucket.queries;
-            }
-        }
-        merged
+            .expect("a store has at least one shard")
     }
 
     /// Fig. 6's expiry-aligned series (parallel
@@ -399,84 +372,6 @@ impl ShardedStore {
         self.par_map(|db| query::long_lived_nx(db, min_days))
             .into_iter()
             .fold((0, 0), |(n, q), (pn, pq)| (n + pn, q + pq))
-    }
-
-    /// Responses per rcode (parallel [`scan::rcode_breakdown`]).
-    pub fn rcode_breakdown(&self) -> Vec<(u8, u64)> {
-        let mut merged: BTreeMap<u8, u64> = BTreeMap::new();
-        for partial in self.par_map(scan::rcode_breakdown) {
-            for (rcode, responses) in partial {
-                *merged.entry(rcode).or_insert(0) += responses;
-            }
-        }
-        merged.into_iter().collect()
-    }
-
-    /// The NXDOMAIN share of all responses (parallel
-    /// [`query::nxdomain_share`]).
-    #[expect(
-        clippy::disallowed_types,
-        clippy::float_arithmetic,
-        reason = "a fraction computed once from summed integer totals; nothing accumulates in float"
-    )]
-    pub fn nxdomain_share(&self) -> f64 {
-        let breakdown = self.rcode_breakdown();
-        let total: u64 = breakdown.iter().map(|&(_, n)| n).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let nx = breakdown
-            .iter()
-            .find(|&&(rc, _)| rc == RCode::NxDomain.to_u8())
-            .map(|&(_, n)| n)
-            .unwrap_or(0);
-        nx as f64 / total as f64
-    }
-
-    /// NXDOMAIN responses per sensor (parallel [`scan::nx_by_sensor`]).
-    pub fn nx_by_sensor(&self) -> BTreeMap<u16, u64> {
-        let mut merged: BTreeMap<u16, u64> = BTreeMap::new();
-        for partial in self.par_map(scan::nx_by_sensor) {
-            for (sensor, responses) in partial {
-                *merged.entry(sensor).or_insert(0) += responses;
-            }
-        }
-        merged
-    }
-
-    /// [`ShardedStore::par_map`] with the shard index passed through, for
-    /// closures that need per-shard side inputs (or per-shard telemetry
-    /// labels).
-    pub fn par_map_indexed<'s, R, F>(&'s self, f: F) -> Vec<R>
-    where
-        F: Fn(usize, &'s PassiveDb) -> R + Sync,
-        R: Send,
-    {
-        if self.shards.len() == 1 {
-            return vec![f(0, &self.shards[0])];
-        }
-        let (tx, rx) = bounded::<(usize, R)>(self.shards.len());
-        let partials = crossbeam::thread::scope(|scope| {
-            for (idx, shard) in self.shards.iter().enumerate() {
-                let tx = tx.clone();
-                let f = &f;
-                scope.spawn(move |_| {
-                    tx.send((idx, f(idx, shard)))
-                        .expect("query collector hung up");
-                });
-            }
-            drop(tx);
-            let mut out: Vec<Option<R>> = (0..self.shards.len()).map(|_| None).collect();
-            for (idx, partial) in rx {
-                out[idx] = Some(partial);
-            }
-            out
-        })
-        .expect("sharded query worker panicked");
-        partials
-            .into_iter()
-            .map(|p| p.expect("worker exited without a partial"))
-            .collect()
     }
 }
 
@@ -542,8 +437,14 @@ mod tests {
             );
             assert_eq!(sharded.long_lived_nx(20), query::long_lived_nx(&serial, 20));
             assert_eq!(sharded.rcode_breakdown(), query::rcode_breakdown(&serial));
-            assert_eq!(sharded.nxdomain_share(), query::nxdomain_share(&serial));
-            assert_eq!(sharded.nx_by_sensor(), query::nx_by_sensor(&serial));
+            assert_eq!(
+                sharded.summary().nxdomain_share(),
+                query::nxdomain_share(&serial)
+            );
+            assert_eq!(
+                sharded.summary().nx_by_sensor(),
+                query::nx_by_sensor(&serial)
+            );
         }
     }
 
@@ -556,7 +457,7 @@ mod tests {
                 query::monthly_nx_series(&serial)
             );
             assert_eq!(
-                sharded.yearly_avg_monthly_nx(),
+                sharded.summary().yearly_avg_monthly_nx(),
                 query::yearly_avg_monthly_nx(&serial)
             );
             assert_eq!(sharded.tld_distribution(), query::tld_distribution(&serial));

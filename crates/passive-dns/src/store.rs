@@ -7,7 +7,8 @@
 //! exact pre-aggregated summaries — the same reason the paper mirrors
 //! Farsight into BigQuery, plus the columnar-compression trick BigQuery
 //! applies under the hood. A per-name aggregate index is maintained on
-//! ingest for O(1) lifespan lookups.
+//! ingest for O(1) lifespan lookups, and [`PassiveDb::summary`] memoizes
+//! the store's §4 [`ScaleSummary`] until the next append.
 //!
 //! [`PassiveDb::uncompressed`] builds a store that never seals — the
 //! legacy flat layout, kept as the bit-identical reference the property
@@ -22,12 +23,14 @@
 )]
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use nxd_dns_wire::{Name, RCode};
 use nxd_telemetry::{Counter, Gauge, Histogram, Journal, Registry, Stopwatch};
 
 use crate::block::{Block, BlockScratch, BLOCK_ROWS};
 use crate::intern::{Interner, NameId};
+use crate::summary::ScaleSummary;
 
 /// How often ingest emits a journal heartbeat: every this-many appended
 /// rows (power of two so the check is a mask).
@@ -165,6 +168,9 @@ pub struct PassiveDb {
     col_rcode: Vec<u8>,
     col_count: Vec<u32>,
     per_name: HashMap<NameId, NameAggregate>,
+    /// [`PassiveDb::summary`]'s memo; [`PassiveDb::append`], the only row
+    /// mutation, clears it.
+    summary: OnceLock<ScaleSummary>,
     metrics: StoreMetrics,
     /// Optional flight recorder ([`PassiveDb::attach_journal`]); ingest
     /// heartbeats every [`INGEST_HEARTBEAT_ROWS`] rows land here.
@@ -206,6 +212,7 @@ impl PassiveDb {
             col_rcode: Vec::new(),
             col_count: Vec::new(),
             per_name: HashMap::new(),
+            summary: OnceLock::new(),
             metrics: StoreMetrics::default(),
             journal: None,
         }
@@ -336,6 +343,9 @@ impl PassiveDb {
         self.col_sensor.push(obs.sensor);
         self.col_rcode.push(obs.rcode);
         self.col_count.push(obs.count);
+        if self.summary.get().is_some() {
+            self.summary = OnceLock::new();
+        }
         self.metrics.rows_ingested.inc();
         if obs.rcode == RCode::NxDomain.to_u8() {
             self.metrics.nx_rows.inc();
@@ -526,6 +536,13 @@ impl PassiveDb {
         }
     }
 
+    /// The §4 [`ScaleSummary`] of every row, built by [`ScaleSummary::of`]
+    /// on first use and memoized until the next append.
+    pub fn summary(&self) -> &ScaleSummary {
+        let _t = self.time_query();
+        self.summary.get_or_init(|| ScaleSummary::of(self))
+    }
+
     /// Iterates `(id, aggregate)` for every name with at least one NXDOMAIN
     /// observation.
     pub fn nx_names(&self) -> impl Iterator<Item = (NameId, &NameAggregate)> {
@@ -685,6 +702,18 @@ mod tests {
         assert_eq!(a.aggregate_of("x.com").unwrap().nx_queries, 5);
         assert_eq!(a.aggregate_of("y.com").unwrap().nx_queries, 2);
         assert_eq!(a.aggregate_of("z.com").unwrap().total_queries, 8);
+    }
+
+    #[test]
+    fn summary_memo_is_cleared_by_append() {
+        let mut db = PassiveDb::with_block_rows(2);
+        db.record_str("a.com", 1, 0, RCode::NxDomain, 3);
+        assert_eq!(db.summary().total_nx_responses(), 3);
+        assert_eq!(db.summary().distinct_nx_names(), 1);
+        db.record_str("b.com", 2, 1, RCode::NxDomain, 4);
+        assert_eq!(db.summary().total_nx_responses(), 7);
+        assert_eq!(db.summary().distinct_nx_names(), 2);
+        assert_eq!(*db.summary(), ScaleSummary::of(&db));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The streaming core: one row in, every plane updated, snapshot out.
 //!
 //! [`StreamCore`] owns the three planes — watermarked windows
-//! ([`super::window`]), exact incremental aggregates ([`super::agg`]), and
-//! the bounded approximate companions ([`super::sketch`]) — and folds each
-//! offered row into all of them under a single lock acquisition.
+//! ([`super::window`]), the exact [`ScaleSummary`] with its distinct-name
+//! and sample sets, and the bounded approximate companions
+//! ([`super::sketch`]) — and folds each offered row into all of them under
+//! a single lock acquisition.
 //! [`StreamEngine`] is the shareable handle: a `Clone`-able
 //! `Arc<Mutex<StreamCore>>` the SIE collector threads, the nxd-serve
 //! sensor sink, and the snapshot scraper all hold simultaneously.
@@ -15,17 +16,18 @@
 //! `PassiveDb::attach_metrics`), and every window close heartbeats the
 //! flight-recorder journal with the closed window's tally.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use nxd_dns_wire::RCode;
 use nxd_telemetry::{Counter, Gauge, Journal, Registry};
 
-use super::agg::{tld_of, StreamAggregates};
 use super::sketch::{DistinctSketch, SpaceSaving, TopEntry};
 use super::window::{ClosedWindow, LateTally, WindowConfig, WindowState};
+use crate::hash::in_sample;
 use crate::query::TldStat;
 use crate::store::PassiveDb;
+use crate::summary::{tld_of, ScaleSummary};
 
 /// What happened to an offered row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +149,13 @@ pub struct StreamCore {
     config: StreamConfig,
     windows: WindowState,
     late: LateTally,
-    agg: StreamAggregates,
+    /// Exact §4 tallies over the admitted rows.
+    summary: ScaleSummary,
+    /// Admitted names with a non-zero NXDOMAIN count, so each is counted
+    /// into `summary` once.
+    nx_seen: BTreeSet<String>,
+    /// The §4.2 deterministic 1-in-`sample_n` sample of `nx_seen`.
+    sample: BTreeSet<String>,
     top_tlds: SpaceSaving,
     distinct: DistinctSketch,
     metrics: StreamMetrics,
@@ -159,12 +167,17 @@ pub struct StreamCore {
 }
 
 impl StreamCore {
+    /// # Panics
+    /// Panics if `config.sample_n` is zero.
     pub fn new(config: StreamConfig) -> Self {
+        assert!(config.sample_n > 0, "sampling ratio must be positive");
         StreamCore {
             config,
             windows: WindowState::new(config.window),
             late: LateTally::default(),
-            agg: StreamAggregates::new(config.sample_n, config.sample_salt),
+            summary: ScaleSummary::default(),
+            nx_seen: BTreeSet::new(),
+            sample: BTreeSet::new(),
             top_tlds: SpaceSaving::new(config.top_k),
             distinct: DistinctSketch::new(config.sketch_precision, config.sketch_salt),
             metrics: StreamMetrics::default(),
@@ -190,9 +203,17 @@ impl StreamCore {
             return Admission::Late;
         }
         self.admitted += 1;
-        self.agg.observe(name, day, sensor, rcode, count);
+        let tld = tld_of(name);
+        self.summary.observe_row(tld, day, sensor, rcode, count);
         if nx {
-            self.top_tlds.offer(tld_of(name), count);
+            if count > 0 && !self.nx_seen.contains(name) {
+                self.nx_seen.insert(name.to_owned());
+                self.summary.observe_nx_name(tld);
+                if in_sample(name, self.config.sample_n, self.config.sample_salt) {
+                    self.sample.insert(name.to_owned());
+                }
+            }
+            self.top_tlds.offer(tld, count);
             self.distinct.insert(name);
         }
         self.metrics
@@ -229,14 +250,14 @@ impl StreamCore {
             watermark: self.windows.watermark(),
             windows_open: self.windows.open_windows().count() as u64,
             windows_closed: self.windows.closed_count(),
-            rcode_breakdown: self.agg.rcode_breakdown(),
-            total_nx_responses: self.agg.total_nx_responses(),
-            distinct_nx_names: self.agg.distinct_nx_names(),
-            monthly_nx: self.agg.monthly_nx_series(),
-            yearly_avg_monthly_nx: self.agg.yearly_avg_monthly_nx(),
-            nx_by_sensor: self.agg.nx_by_sensor(),
-            tld_distribution: self.agg.tld_distribution(),
-            sample_nx_names: self.agg.sample_nx_name_strings(),
+            rcode_breakdown: self.summary.rcode_breakdown(),
+            total_nx_responses: self.summary.total_nx_responses(),
+            distinct_nx_names: self.summary.distinct_nx_names(),
+            monthly_nx: self.summary.monthly_nx_series(),
+            yearly_avg_monthly_nx: self.summary.yearly_avg_monthly_nx(),
+            nx_by_sensor: self.summary.nx_by_sensor(),
+            tld_distribution: self.summary.tld_distribution(),
+            sample_nx_names: self.sample.iter().cloned().collect(),
             top_tlds: self.top_tlds.top(self.config.top_k),
             topk_error_bound: self.top_tlds.error_bound(),
             distinct_nx_estimate: self.distinct.estimate(),
@@ -287,22 +308,7 @@ impl StreamEngine {
     }
 
     /// Folds a whole batch (e.g. one SIE [`crate::sie::ShardBatch`]) in
-    /// under a single lock acquisition. Returns `(admitted, late)` rows.
-    pub fn offer_db(&self, db: &PassiveDb) -> (u64, u64) {
-        let mut core = self.lock();
-        let mut admitted = 0u64;
-        let mut late = 0u64;
-        for obs in db.rows() {
-            let name = db.interner().resolve(obs.name);
-            match core.offer(name, obs.day, obs.sensor, obs.rcode, u64::from(obs.count)) {
-                Admission::Admitted => admitted += 1,
-                Admission::Late => late += 1,
-            }
-        }
-        (admitted, late)
-    }
-
-    /// Like [`StreamEngine::offer_db`] but returns the per-row admission
+    /// under a single lock acquisition and returns the per-row admission
     /// verdicts in row order, so a caller can route late rows to a side
     /// store while admitted rows proceed to the main one.
     pub fn offer_db_admissions(&self, db: &PassiveDb) -> Vec<Admission> {
@@ -373,6 +379,8 @@ mod tests {
             ("gone.ru", 11, 1, RCode::NxDomain, 7),
             ("alive.com", 12, 0, RCode::NoError, 5),
             ("dead.com", 40, 1, RCode::NxDomain, 2),
+            // A zero-count NX row makes no name NXDOMAIN, as in the oracle.
+            ("zero.org", 41, 0, RCode::NxDomain, 0),
         ];
         for (name, day, sensor, rcode, count) in rows {
             assert_eq!(
@@ -382,10 +390,11 @@ mod tests {
             db.record_str(name, day, sensor, rcode, count);
         }
         let snap = e.snapshot();
-        assert_eq!(snap.offered_rows, 4);
-        assert_eq!(snap.admitted_rows, 4);
+        assert_eq!(snap.offered_rows, 5);
+        assert_eq!(snap.admitted_rows, 5);
         assert_eq!(snap.late.rows, 0);
         assert_eq!(snap.total_nx_responses, query::total_nx_responses(&db));
+        assert_eq!(snap.distinct_nx_names, query::distinct_nx_names(&db));
         assert_eq!(snap.rcode_breakdown, query::rcode_breakdown(&db));
         assert_eq!(snap.monthly_nx, query::monthly_nx_series(&db));
         assert_eq!(snap.nx_by_sensor, query::nx_by_sensor(&db));
@@ -399,13 +408,12 @@ mod tests {
             e.offer_row("a.com", 100, 0, RCode::NxDomain, 4),
             Admission::Admitted
         );
+        let mut batch = PassiveDb::new();
+        batch.record_str("b.com", 5, 0, RCode::NxDomain, 6);
+        batch.record_str("c.com", 5, 0, RCode::NoError, 1);
         assert_eq!(
-            e.offer_row("b.com", 5, 0, RCode::NxDomain, 6),
-            Admission::Late
-        );
-        assert_eq!(
-            e.offer_row("c.com", 5, 0, RCode::NoError, 1),
-            Admission::Late
+            e.offer_db_admissions(&batch),
+            vec![Admission::Late, Admission::Late]
         );
         let snap = e.snapshot();
         assert_eq!(snap.admitted_rows, 1);
@@ -425,11 +433,41 @@ mod tests {
         let mut db = PassiveDb::new();
         db.record_str("x.com", 1, 0, RCode::NxDomain, 2);
         db.record_str("y.net", 2, 1, RCode::NoError, 3);
-        let (admitted, late) = e.offer_db(&db);
-        assert_eq!((admitted, late), (2, 0));
+        assert_eq!(
+            e.offer_db_admissions(&db),
+            vec![Admission::Admitted, Admission::Admitted]
+        );
         let snap = e.snapshot();
         assert_eq!(snap.total_nx_responses, 2);
         assert_eq!(snap.tld_distribution[0].tld, "com");
+    }
+
+    #[test]
+    fn sample_respects_ratio_and_salt() {
+        let e = StreamEngine::new(StreamConfig {
+            sample_n: 100,
+            sample_salt: 7,
+            ..Default::default()
+        });
+        let mut db = PassiveDb::new();
+        for i in 0..5_000 {
+            let name = format!("d{i}.com");
+            e.offer_row(&name, 16_000, 0, RCode::NxDomain, 1);
+            db.record_str(&name, 16_000, 0, RCode::NxDomain, 1);
+        }
+        let streamed = e.snapshot().sample_nx_names;
+        assert_eq!(streamed, query::sample_nx_name_strings(&db, 100, 7));
+        assert!(!streamed.is_empty());
+        assert!(streamed.len() < 500);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling ratio must be positive")]
+    fn zero_sample_ratio_rejected() {
+        let _ = StreamEngine::new(StreamConfig {
+            sample_n: 0,
+            ..Default::default()
+        });
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! * **Windows & watermarks** ([`window`]) — event-time tumbling windows
 //!   with bounded out-of-order tolerance. Rows beyond the watermark are
 //!   *late*: exactly tallied on a side ledger, never silently dropped.
-//! * **Exact incremental aggregates** ([`agg`]) — the §4 answers (rcode
-//!   breakdown, monthly NXDOMAIN, NX-by-sensor, TLD distribution, the
-//!   1/N name sample; Figs. 3–6 + 8) as running state, bit-identical to
-//!   the batch `query.rs` engine over the rows admitted so far. Pinned by
-//!   `tests/prop_stream.rs` with `query.rs` as the oracle.
+//! * **Exact incremental aggregates** ([`engine`]) — the §4 answers as a
+//!   running [`crate::ScaleSummary`] plus the exact NX-name set and §4.2
+//!   1/N name sample, bit-identical to the batch `query.rs` oracle over
+//!   the rows admitted so far (pinned by `tests/prop_stream.rs`).
 //! * **Approximate companions** ([`sketch`]) — a space-saving top-k TLD
 //!   summary (over-count ≤ N/k, no under-count, heavy hitters guaranteed)
 //!   and an HLL-style distinct-name sketch (relative error
@@ -21,10 +20,11 @@
 //!   Pinned by `tests/prop_sketch.rs`.
 //!
 //! Producers reach the engine two ways: `sie::collect_stream` drains the
-//! bounded SIE channel through [`StreamEngine::offer_db`] batch-by-batch
-//! while still sealing rows into the sharded store for exact replay, and
-//! the nxd-serve sensor sink offers each recorded live query row. Either
-//! way `/metrics` and `/snapshot.json` show the aggregates move mid-run.
+//! bounded SIE channel through [`StreamEngine::offer_db_admissions`]
+//! batch-by-batch while still sealing rows into the sharded store for
+//! exact replay, and the nxd-serve sensor sink offers each recorded live
+//! query row. Either way `/metrics` and `/snapshot.json` show the
+//! aggregates move mid-run.
 #![cfg_attr(
     not(test),
     deny(
@@ -36,12 +36,10 @@
     )
 )]
 
-pub mod agg;
 pub mod engine;
 pub mod sketch;
 pub mod window;
 
-pub use agg::StreamAggregates;
 pub use engine::{Admission, StreamConfig, StreamEngine, StreamSnapshot};
 pub use sketch::{DistinctSketch, SpaceSaving, TopEntry};
 pub use window::{ClosedWindow, LateTally, WindowConfig, WindowState, WindowTally};

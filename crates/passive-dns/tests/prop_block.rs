@@ -2,13 +2,13 @@
 //! stream and ANY block size, a store made of sealed compressed blocks
 //! must be indistinguishable from the flat uncompressed layout — row
 //! iteration, random access, and every query family bit-identical — and
-//! the summary-accelerated `scan` kernels must agree with the scan-based
-//! `query` engine on both layouts.
+//! the `ScaleSummary` folds and the row-level `scan` kernels must agree
+//! with the scan-based `query` engine on both layouts.
 
 use std::collections::HashMap;
 
 use nxd_dns_wire::RCode;
-use nxd_passive_dns::{query, scan, PassiveDb, ShardedStore};
+use nxd_passive_dns::{query, scan, PassiveDb, ScaleSummary, ShardedStore};
 use proptest::prelude::*;
 
 const TLDS: [&str; 5] = ["com", "net", "ru", "cn", "org"];
@@ -120,9 +120,10 @@ proptest! {
         }
     }
 
-    /// The summary-accelerated scan kernels agree with the scan-based query
-    /// engine on both layouts (on compressed stores they fold pre-built
-    /// block summaries; on flat stores they scan the tail).
+    /// The store summary and the row-level scan kernels agree with the
+    /// scan-based query engine on both layouts (on compressed stores the
+    /// summary folds pre-built block summaries; on flat stores it scans the
+    /// tail).
     #[test]
     fn scan_kernels_match_query_engine(observations in arb_observations()) {
         let reference = flat(&observations);
@@ -131,14 +132,16 @@ proptest! {
             .map(|&b| build(&observations, b))
             .chain(std::iter::once(flat(&observations)))
         {
+            let summary = ScaleSummary::of(&db);
+            prop_assert_eq!(&summary, db.summary());
             prop_assert_eq!(
-                scan::total_responses(&db, RCode::NxDomain),
+                summary.total_responses(RCode::NxDomain),
                 query::total_nx_responses(&reference)
             );
-            prop_assert_eq!(scan::rcode_breakdown(&db), query::rcode_breakdown(&reference));
-            prop_assert_eq!(scan::monthly_nx_series(&db), query::monthly_nx_series(&reference));
-            prop_assert_eq!(scan::nx_by_sensor(&db), query::nx_by_sensor(&reference));
-            prop_assert_eq!(scan::tld_distribution(&db), query::tld_distribution(&reference));
+            prop_assert_eq!(summary.rcode_breakdown(), query::rcode_breakdown(&reference));
+            prop_assert_eq!(summary.monthly_nx_series(), query::monthly_nx_series(&reference));
+            prop_assert_eq!(summary.nx_by_sensor(), query::nx_by_sensor(&reference));
+            prop_assert_eq!(summary.tld_distribution(), query::tld_distribution(&reference));
             prop_assert_eq!(
                 scan::lifespan_histogram(&db, 60),
                 query::lifespan_histogram(&reference, 60)
@@ -191,8 +194,11 @@ proptest! {
                 query::expiry_aligned_series(&reference, &panel_ids, 30, 60)
             );
             prop_assert_eq!(store.rcode_breakdown(), query::rcode_breakdown(&reference));
-            prop_assert_eq!(store.nx_by_sensor(), query::nx_by_sensor(&reference));
-            prop_assert_eq!(store.nxdomain_share(), query::nxdomain_share(&reference));
+            prop_assert_eq!(store.summary().nx_by_sensor(), query::nx_by_sensor(&reference));
+            prop_assert_eq!(
+                store.summary().nxdomain_share(),
+                query::nxdomain_share(&reference)
+            );
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Property tests for the sharded parallel engine: for ANY observation
 //! stream and ANY shard count, every query family must return results
 //! bit-identical to the serial engine — the invariant the whole scale
-//! pipeline rests on.
+//! pipeline rests on. Underneath it sits the `ScaleSummary` monoid: merged
+//! over ANY name partition, in either order, it equals the summary of the
+//! whole.
 
 use std::collections::HashMap;
 
 use nxd_dns_wire::RCode;
-use nxd_passive_dns::{query, shard_of, PassiveDb, ShardedStore};
+use nxd_passive_dns::{query, shard_of, PassiveDb, ScaleSummary, ShardedStore};
 use proptest::prelude::*;
 
 const TLDS: [&str; 5] = ["com", "net", "ru", "cn", "org"];
@@ -52,7 +54,7 @@ proptest! {
             prop_assert_eq!(store.total_nx_responses(), query::total_nx_responses(&db));
             prop_assert_eq!(store.distinct_nx_names(), query::distinct_nx_names(&db));
             prop_assert_eq!(store.long_lived_nx(365), query::long_lived_nx(&db, 365));
-            prop_assert_eq!(store.nxdomain_share(), query::nxdomain_share(&db));
+            prop_assert_eq!(store.summary().nxdomain_share(), query::nxdomain_share(&db));
         }
     }
 
@@ -64,11 +66,11 @@ proptest! {
             let store = ShardedStore::from_db(&db, shards);
             prop_assert_eq!(store.monthly_nx_series(), query::monthly_nx_series(&db));
             prop_assert_eq!(
-                store.yearly_avg_monthly_nx(),
+                store.summary().yearly_avg_monthly_nx(),
                 query::yearly_avg_monthly_nx(&db)
             );
             prop_assert_eq!(store.rcode_breakdown(), query::rcode_breakdown(&db));
-            prop_assert_eq!(store.nx_by_sensor(), query::nx_by_sensor(&db));
+            prop_assert_eq!(store.summary().nx_by_sensor(), query::nx_by_sensor(&db));
         }
     }
 
@@ -146,5 +148,58 @@ proptest! {
             direct.lifespan_histogram(60),
             partitioned.lifespan_histogram(60)
         );
+    }
+
+    /// The monoid law the sharded engine rests on: split the rows into
+    /// 1–8 name-disjoint parts (any assignment, not just the shard hash) at
+    /// any block size; the per-part summaries merged forward or in reverse
+    /// equal the summary of the whole, and every accessor equals the
+    /// `query` oracle.
+    #[test]
+    fn summaries_merge_over_name_partitions(
+        observations in arb_observations(),
+        parts in 1usize..=8,
+        assignment in proptest::collection::vec(0usize..8, 40..41),
+    ) {
+        for block_rows in [1usize, 7, usize::MAX] {
+            let mut whole = PassiveDb::with_block_rows(block_rows);
+            let mut split: Vec<PassiveDb> = (0..parts)
+                .map(|_| PassiveDb::with_block_rows(block_rows))
+                .collect();
+            for &(idx, day, sensor, nx, count) in &observations {
+                let rcode = if nx { RCode::NxDomain } else { RCode::NoError };
+                whole.record_str(&name_of(idx), day, sensor, rcode, count);
+                split[assignment[idx] % parts].record_str(&name_of(idx), day, sensor, rcode, count);
+            }
+            let merge = |acc: ScaleSummary, db: &PassiveDb| {
+                let mut acc = acc;
+                acc.merge(db.summary());
+                acc
+            };
+            let forward = split.iter().fold(ScaleSummary::default(), merge);
+            let reverse = split.iter().rev().fold(ScaleSummary::default(), merge);
+            let expect = ScaleSummary::of(&whole);
+            prop_assert_eq!(&forward, &expect, "block_rows={}", block_rows);
+            prop_assert_eq!(&reverse, &expect, "block_rows={}", block_rows);
+
+            prop_assert_eq!(forward.rcode_breakdown(), query::rcode_breakdown(&whole));
+            prop_assert_eq!(
+                forward.total_responses(RCode::NoError),
+                query::total_responses(&whole, RCode::NoError)
+            );
+            prop_assert_eq!(forward.total_nx_responses(), query::total_nx_responses(&whole));
+            prop_assert_eq!(forward.distinct_nx_names(), query::distinct_nx_names(&whole));
+            prop_assert_eq!(forward.monthly_nx_series(), query::monthly_nx_series(&whole));
+            prop_assert_eq!(
+                forward.yearly_avg_monthly_nx(),
+                query::yearly_avg_monthly_nx(&whole)
+            );
+            prop_assert_eq!(forward.nx_by_sensor(), query::nx_by_sensor(&whole));
+            prop_assert_eq!(forward.tld_distribution(), query::tld_distribution(&whole));
+            prop_assert_eq!(
+                forward.nxdomain_share().to_bits(),
+                query::nxdomain_share(&whole).to_bits()
+            );
+        }
     }
 }
