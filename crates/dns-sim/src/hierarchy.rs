@@ -239,36 +239,41 @@ impl SimDns {
     /// SOA (TTL capped at the SOA MINIMUM) in the authority section of
     /// negative answers (RFC 2308 §2.1).
     pub fn respond(&self, server: &ServerRef, query_wire: &[u8]) -> Result<Vec<u8>, WireError> {
-        let query = Message::decode(query_wire)?;
+        self.respond_to(server, &Message::decode(query_wire)?)
+    }
+
+    /// [`SimDns::respond`] for a query the caller has already decoded;
+    /// the only error left is an un-encodable response.
+    pub fn respond_to(&self, server: &ServerRef, query: &Message) -> Result<Vec<u8>, WireError> {
         let mut resp = match query.questions.first() {
             Some(q) => match self.query_server(server, &q.qname, q.qtype) {
                 ZoneAnswer::Answer(answers) => {
-                    let mut resp = Message::response(&query, RCode::NoError);
+                    let mut resp = Message::response(query, RCode::NoError);
                     resp.header.aa = true;
                     resp.answers = answers;
                     resp
                 }
                 ZoneAnswer::NoData(soa) => {
-                    let mut resp = Message::response(&query, RCode::NoError);
+                    let mut resp = Message::response(query, RCode::NoError);
                     resp.header.aa = true;
                     resp.authorities = vec![clamp_negative_soa(&soa)];
                     resp
                 }
                 ZoneAnswer::NxDomain(soa) => {
-                    let mut resp = Message::response(&query, RCode::NxDomain);
+                    let mut resp = Message::response(query, RCode::NxDomain);
                     resp.header.aa = true;
                     resp.authorities = vec![clamp_negative_soa(&soa)];
                     resp
                 }
                 ZoneAnswer::Delegation(ns) => {
                     // Referral: not authoritative for the child zone.
-                    let mut resp = Message::response(&query, RCode::NoError);
+                    let mut resp = Message::response(query, RCode::NoError);
                     resp.authorities = ns;
                     resp
                 }
-                ZoneAnswer::OutOfZone => Message::response(&query, RCode::Refused),
+                ZoneAnswer::OutOfZone => Message::response(query, RCode::Refused),
             },
-            None => Message::response(&query, RCode::FormErr),
+            None => Message::response(query, RCode::FormErr),
         };
         resp.header.ra = false;
         resp.encode()

@@ -7,9 +7,10 @@
 //!
 //! The paper's pipelines operate at Farsight scale (1.07 T responses),
 //! where operators watch systems live rather than reading post-hoc dumps.
-//! Batch experiments gain that visibility through `repro --serve <addr>`;
-//! the planned `nxd-serve` front-end reuses the same plane as its
-//! admin/metrics endpoint.
+//! Batch experiments gain that visibility through `repro --serve <addr>`.
+//! The live `nxd-serve` DNS front-end runs on this crate's
+//! [`Service`](service::Service) thread skeleton, the same acceptor,
+//! worker pool and shutdown protocol as [`ObsServer`].
 //!
 //! | Endpoint | Content | Semantics |
 //! |---|---|---|
@@ -41,7 +42,9 @@
 pub mod client;
 pub mod http;
 pub mod server;
+pub mod service;
 
 pub use client::{http_get, ScrapeResult};
 pub use http::{Request, Response};
-pub use server::{ObsServer, DEFAULT_WORKERS};
+pub use server::ObsServer;
+pub use service::Service;

@@ -1,47 +1,31 @@
-//! The observability HTTP server: a bounded worker pool over
-//! `std::net::TcpListener` serving the endpoint table in the crate docs,
-//! with graceful shutdown (shutdown flag + connect-to-self wakeup, then
-//! join every thread).
-//!
-//! Threading model: one acceptor thread pushes accepted connections into a
-//! bounded channel; N worker threads pull and answer them. The invariant
-//! behind the workspace's `thread::spawn` ban (worker panics must surface
-//! as typed data, not die silently) is preserved differently than in the
-//! compute pipelines: server threads must outlive the function that binds
-//! them, so instead of a crossbeam scope each connection is handled under
-//! `catch_unwind` and a panic becomes an
+//! The observability HTTP server: the endpoint table in the crate docs,
+//! served by a [`Service`] pool over `std::net::TcpListener`. A
+//! per-connection panic becomes an
 //! [`EventLevel::Error`](nxd_telemetry::EventLevel) journal event —
 //! observable on the very plane this crate serves.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 use nxd_telemetry::Telemetry;
 
 use crate::http::{read_request, Request, Response, JSONL_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE};
+use crate::service::Service;
 
-/// Default worker-pool size: an admin plane is scraped by one Prometheus
-/// and the odd operator curl, not by production traffic.
-pub const DEFAULT_WORKERS: usize = 4;
-
-/// Accepted-but-unserved connections the acceptor will queue before
-/// exerting backpressure (further accepts block in `send`).
-const PENDING_CONNECTIONS: usize = 64;
+/// Worker-pool size: an admin plane is scraped by one Prometheus and the
+/// odd operator curl, not by production traffic.
+const WORKERS: usize = 4;
 
 /// Per-connection socket timeouts so a stalled peer cannot pin a worker.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// State shared by the acceptor, the workers, and the owning handle.
+/// State shared by the workers and the owning handle.
 struct Shared {
     telemetry: Arc<Telemetry>,
     ready: AtomicBool,
-    shutdown: AtomicBool,
 }
 
 /// A running observability server. Dropping the handle shuts it down;
@@ -49,56 +33,46 @@ struct Shared {
 pub struct ObsServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    service: Service,
 }
 
 impl ObsServer {
     /// Binds on `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor plus [`DEFAULT_WORKERS`] workers. The server answers
-    /// `/healthz` immediately; `/readyz` stays 503 until
-    /// [`ObsServer::set_ready`].
+    /// acceptor and its workers. The server answers `/healthz`
+    /// immediately; `/readyz` stays 503 until [`ObsServer::set_ready`].
     pub fn bind(addr: impl ToSocketAddrs, telemetry: Arc<Telemetry>) -> std::io::Result<Self> {
-        Self::bind_with(addr, telemetry, DEFAULT_WORKERS)
-    }
-
-    /// [`ObsServer::bind`] with an explicit worker count (clamped to 1..=16).
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        telemetry: Arc<Telemetry>,
-        workers: usize,
-    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             telemetry,
             ready: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
         });
-        let worker_count = workers.clamp(1, 16);
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(PENDING_CONNECTIONS);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_handles = Vec::with_capacity(worker_count);
-        for index in 0..worker_count {
-            let rx = rx.clone();
-            let shared = shared.clone();
-            worker_handles.push(spawn_detached(move || worker_loop(index, &rx, &shared)));
-        }
-        let acceptor_shared = shared.clone();
-        let acceptor = spawn_detached(move || accept_loop(&listener, &tx, &acceptor_shared));
+        let mut service = Service::default();
+        let (handler_shared, journal) = (shared.clone(), shared.telemetry.journal.clone());
+        service.accept(
+            listener,
+            WORKERS,
+            move |stream, _stop| handle_connection(stream, &handler_shared),
+            move |worker| {
+                journal.error(
+                    "obs",
+                    "connection handler panicked",
+                    &[("worker", &worker.to_string())],
+                );
+            },
+        )?;
         shared.telemetry.journal.info(
             "obs",
             "server listening",
             &[
                 ("addr", &local.to_string()),
-                ("workers", &worker_count.to_string()),
+                ("workers", &WORKERS.to_string()),
             ],
         );
         Ok(ObsServer {
             addr: local,
             shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
+            service,
         })
     }
 
@@ -124,40 +98,26 @@ impl ObsServer {
         self.shared.ready.load(Ordering::SeqCst)
     }
 
-    /// Graceful shutdown: raises the shutdown flag, wakes the acceptor
-    /// with a connect-to-self, and joins every thread. In-flight
-    /// responses complete; queued connections are answered before the
-    /// workers observe the closed channel and exit.
+    /// Graceful shutdown via [`Service::shutdown`]: in-flight responses
+    /// complete and queued connections are answered before the workers
+    /// exit.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
+        self.stop();
     }
 
-    fn shutdown_inner(&mut self) {
-        if self.acceptor.is_none() {
-            return;
+    fn stop(&mut self) {
+        if self.service.shutdown() {
+            self.shared
+                .telemetry
+                .journal
+                .info("obs", "server stopped", &[]);
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // accept() has no timeout; a throwaway connection unblocks it so
-        // it can observe the flag.
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.shared
-            .telemetry
-            .journal
-            .info("obs", "server stopped", &[]);
     }
 }
 
 impl Drop for ObsServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.stop();
     }
 }
 
@@ -165,67 +125,8 @@ impl std::fmt::Debug for ObsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsServer")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
             .field("ready", &self.is_ready())
             .finish_non_exhaustive()
-    }
-}
-
-/// The workspace's one sanctioned detached-spawn site. Server threads must
-/// outlive the function that binds them (a crossbeam scope would join
-/// before `bind` returned), every handle is joined in shutdown, and worker
-/// panics are caught per-connection and journaled — the invariant the
-/// `thread::spawn` ban protects (panics surface as typed data) holds by
-/// other means.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "server threads outlive bind(); all handles joined in shutdown(); per-connection panics are caught and recorded as journal error events"
-)]
-fn spawn_detached(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::spawn(f)
-}
-
-fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wakeup connection itself; nothing to serve.
-            break;
-        }
-        if tx.send(stream).is_err() {
-            break;
-        }
-    }
-    // Dropping tx here closes the channel; workers drain it and exit.
-}
-
-fn worker_loop(index: usize, rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
-    loop {
-        // Lock only around recv: dequeueing is serialized, handling is
-        // concurrent across workers.
-        let stream = {
-            let Ok(guard) = rx.lock() else { break };
-            match guard.recv() {
-                Ok(stream) => stream,
-                Err(_) => break,
-            }
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared)));
-        if outcome.is_err() {
-            shared.telemetry.journal.error(
-                "obs",
-                "connection handler panicked",
-                &[("worker", &index.to_string())],
-            );
-        }
     }
 }
 
@@ -364,7 +265,7 @@ mod tests {
     #[test]
     fn shutdown_frees_the_port_and_joins() {
         let telemetry = Arc::new(Telemetry::wall());
-        let server = ObsServer::bind_with("127.0.0.1:0", telemetry.clone(), 2).unwrap();
+        let server = ObsServer::bind("127.0.0.1:0", telemetry.clone()).unwrap();
         let addr = server.local_addr();
         server.shutdown();
         // The port is free again and the journal recorded the lifecycle.

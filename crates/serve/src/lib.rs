@@ -8,7 +8,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`frame`] | RFC 1035 §4.2.2 TCP length-prefix framing |
-//! | [`server`] | [`DnsServer`]: UDP reader pool + TCP acceptor + bounded workers |
+//! | [`server`] | [`DnsServer`]: UDP readers answering in place + a TCP worker pool, on nxd-obs's `Service` |
 //! | [`sink`] | passive-DNS sensor channel: served responses → [`PassiveDb`](nxd_passive_dns::PassiveDb) |
 //! | [`client`] | crate-native stub resolver (UDP retry loop, TCP pipelining) |
 //! | [`world`] | a servable world from nxd-traffic era specs, plus ingest parity |

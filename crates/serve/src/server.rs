@@ -1,20 +1,21 @@
-//! The live DNS front-end: a UDP reader pool and a TCP acceptor feeding a
-//! bounded worker pool, answering wire packets from the authoritative
-//! [`SimDns`] hierarchy with graceful shutdown in the nxd-obs style
-//! (shutdown flag + connect-to-self wakeup + join every thread).
+//! The live DNS front-end: UDP readers that answer the datagrams they
+//! read, and a TCP worker pool, all on one nxd-obs [`Service`] — the same
+//! thread skeleton and graceful shutdown (stop flag + connect-to-self
+//! wakeup + join every thread) as the observability plane.
 //!
-//! Threading model: `udp_readers` threads block on `recv_from` with a
-//! short poll timeout (so they observe the shutdown flag); one acceptor
-//! thread blocks on `accept` (woken by a throwaway connection at
-//! shutdown); both push [`Job`]s into a bounded `mpsc` channel drained by
-//! `workers` threads. Each job is handled under `catch_unwind` — a
+//! Threading model: `UDP_READERS` threads block on `recv_from` on the
+//! shared socket with a short poll timeout (so they observe the stop flag)
+//! and answer each datagram in place from a reused buffer; the kernel
+//! receive buffer is UDP's only queue. TCP connections go to
+//! `TCP_WORKERS` pool workers, so idle TCP peers can never starve UDP.
+//! Every datagram and every connection is handled under `catch_unwind` — a
 //! panicking request becomes a counter increment and a journal error
-//! event, never a dead worker.
+//! event, never a dead thread.
 //!
 //! Byte parity: [`answer`] routes a decodable query with
 //! [`SimDns::next_server`] (falling back to the root for unknown TLDs,
 //! exactly where a resolver with an empty cache would start) and returns
-//! [`SimDns::respond`]'s bytes untouched. The UDP path never truncates:
+//! [`SimDns::respond_to`]'s bytes untouched. The UDP path never truncates:
 //! the simulated hierarchy's responses fit classic 512-byte datagrams by
 //! construction, and datagram-size policy stays in the offline
 //! [`WireChannel`](nxd_dns_sim::WireChannel) transport model.
@@ -23,39 +24,34 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 use nxd_dns_sim::{ServerRef, SimDns, SimTime};
 use nxd_dns_wire::{Message, RCode};
+use nxd_obs::Service;
 use nxd_passive_dns::{PassiveDb, StreamEngine};
 use nxd_telemetry::{Counter, Histogram, Registry, Stopwatch, Telemetry};
 
 use crate::frame::{read_frame, write_frame, MAX_TCP_MESSAGE};
 use crate::sink::{SensorChannel, SensorEvent, SensorTransport};
 
-/// How often blocked UDP readers wake to observe the shutdown flag.
+/// UDP reader threads, each answering the datagrams it reads.
+const UDP_READERS: usize = 4;
+
+/// TCP worker threads, each serving one connection at a time.
+const TCP_WORKERS: usize = 4;
+
+/// How often blocked UDP readers wake to observe the stop flag.
 const UDP_POLL: Duration = Duration::from_millis(50);
 
 /// Per-connection socket timeouts so a stalled TCP peer cannot pin a
 /// worker past shutdown.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Front-end configuration. The defaults suit tests and the `repro`
-/// binary; the load bench scales `workers` up.
+/// Front-end configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// UDP reader threads pulling datagrams off the shared socket.
-    pub udp_readers: usize,
-    /// Worker threads answering queries (UDP datagrams and whole TCP
-    /// connections alike).
-    pub workers: usize,
-    /// Jobs buffered before readers/acceptor block (backpressure bound).
-    pub pending_jobs: usize,
-    /// Largest accepted TCP message.
-    pub max_tcp_message: usize,
     /// Day number served rows land on in the sensor database.
     pub day: u32,
     /// Sensor id of this front-end in the federation model.
@@ -69,21 +65,11 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            udp_readers: 2,
-            workers: 4,
-            pending_jobs: 256,
-            max_tcp_message: MAX_TCP_MESSAGE,
             day: SimTime::ERA_START.day_number() as u32,
             sensor: 0,
             stream: None,
         }
     }
-}
-
-/// One unit of work for the pool.
-enum Job {
-    Udp { data: Vec<u8>, peer: SocketAddr },
-    Tcp { stream: TcpStream },
 }
 
 /// Hot-path metric handles, resolved once instead of per request.
@@ -140,37 +126,37 @@ impl ServeMetrics {
     }
 }
 
-/// State shared by readers, the acceptor, the workers, and the handle.
-struct Shared {
+/// Everything a UDP reader or TCP worker needs, shared by both protocols.
+struct Ctx {
+    dns: Arc<SimDns>,
+    udp: UdpSocket,
     telemetry: Arc<Telemetry>,
-    shutdown: AtomicBool,
+    metrics: ServeMetrics,
+    sink_tx: Option<crossbeam::channel::Sender<SensorEvent>>,
 }
 
-/// Everything one worker needs.
-struct WorkerCtx {
-    rx: Arc<Mutex<Receiver<Job>>>,
-    dns: Arc<SimDns>,
-    udp: Arc<UdpSocket>,
-    shared: Arc<Shared>,
-    metrics: Arc<ServeMetrics>,
-    sink_tx: Option<crossbeam::channel::Sender<SensorEvent>>,
-    max_tcp_message: usize,
+impl Ctx {
+    fn handler_panicked(&self, thread: &str) {
+        self.metrics.panics.inc();
+        self.telemetry
+            .journal
+            .error("serve", "request handler panicked", &[("thread", thread)]);
+    }
 }
 
 /// A running DNS front-end. [`DnsServer::shutdown`] returns the served
 /// passive-DNS database; dropping the handle shuts down and discards it.
 pub struct DnsServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    readers: Vec<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    telemetry: Arc<Telemetry>,
+    service: Service,
     sink: Option<SensorChannel>,
 }
 
 impl DnsServer {
     /// Binds UDP and TCP on the same address (port 0 picks an ephemeral
-    /// port where *both* sockets agree) and starts the pool.
+    /// port where *both* sockets agree) and starts the readers and the
+    /// TCP pool.
     pub fn bind(
         addr: impl ToSocketAddrs,
         dns: Arc<SimDns>,
@@ -184,62 +170,46 @@ impl DnsServer {
         let (udp, listener) = bind_pair(requested)?;
         let local = udp.local_addr()?;
         udp.set_read_timeout(Some(UDP_POLL))?;
-        let udp = Arc::new(udp);
-        let shared = Arc::new(Shared {
-            telemetry: telemetry.clone(),
-            shutdown: AtomicBool::new(false),
-        });
-        let metrics = Arc::new(ServeMetrics::new(&telemetry.registry));
         let sink = SensorChannel::spawn_with_stream(
             config.day,
             config.sensor,
             telemetry.clone(),
-            config.stream.clone(),
+            config.stream,
         );
+        let ctx = Arc::new(Ctx {
+            dns,
+            udp,
+            telemetry: telemetry.clone(),
+            metrics: ServeMetrics::new(&telemetry.registry),
+            sink_tx: sink.sender(),
+        });
 
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.pending_jobs.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let worker_count = config.workers.clamp(1, 64);
-        let mut workers = Vec::with_capacity(worker_count);
-        for index in 0..worker_count {
-            let ctx = WorkerCtx {
-                rx: rx.clone(),
-                dns: dns.clone(),
-                udp: udp.clone(),
-                shared: shared.clone(),
-                metrics: metrics.clone(),
-                sink_tx: sink.sender(),
-                max_tcp_message: config.max_tcp_message,
-            };
-            workers.push(spawn_detached(move || worker_loop(index, &ctx)));
+        let mut service = Service::default();
+        let (tcp_ctx, panic_ctx) = (ctx.clone(), ctx.clone());
+        service.accept(
+            listener,
+            TCP_WORKERS,
+            move |stream, stop| handle_tcp(&tcp_ctx, stream, stop),
+            move |worker| panic_ctx.handler_panicked(&format!("tcp-{worker}")),
+        )?;
+        for reader in 0..UDP_READERS {
+            let ctx = ctx.clone();
+            service.spawn(move |stop| udp_reader_loop(&ctx, reader, stop));
         }
-
-        let reader_count = config.udp_readers.clamp(1, 16);
-        let mut readers = Vec::with_capacity(reader_count);
-        for _ in 0..reader_count {
-            let udp = udp.clone();
-            let tx = tx.clone();
-            let shared = shared.clone();
-            readers.push(spawn_detached(move || udp_reader_loop(&udp, &tx, &shared)));
-        }
-        let acceptor_shared = shared.clone();
-        let acceptor = spawn_detached(move || accept_loop(&listener, &tx, &acceptor_shared));
 
         telemetry.journal.info(
             "serve",
             "dns front-end listening",
             &[
                 ("addr", &local.to_string()),
-                ("workers", &worker_count.to_string()),
-                ("udp_readers", &reader_count.to_string()),
+                ("udp_readers", &UDP_READERS.to_string()),
+                ("tcp_workers", &TCP_WORKERS.to_string()),
             ],
         );
         Ok(DnsServer {
             addr: local,
-            shared,
-            readers,
-            acceptor: Some(acceptor),
-            workers,
+            telemetry,
+            service,
             sink: Some(sink),
         })
     }
@@ -250,52 +220,33 @@ impl DnsServer {
         self.addr
     }
 
-    /// Graceful shutdown: raise the flag, wake the acceptor, join readers,
-    /// acceptor, and workers (in-flight requests complete), then collect
-    /// the served passive-DNS database from the sensor channel.
+    /// Graceful shutdown: stop and join every reader and worker
+    /// (in-flight requests complete), then collect the served passive-DNS
+    /// database from the sensor channel.
     pub fn shutdown(mut self) -> PassiveDb {
-        self.shutdown_inner();
-        match self.sink.take() {
-            Some(sink) => sink.finish(),
-            None => PassiveDb::default(),
-        }
+        self.stop()
+            .map_or_else(PassiveDb::default, SensorChannel::finish)
     }
 
-    fn shutdown_inner(&mut self) {
-        if self.acceptor.is_none() {
-            return;
+    /// Stops the service and hands out the sensor channel, once. Every
+    /// thread holding a sensor sender has been joined by then, so
+    /// `finish` cannot block on a live sender.
+    fn stop(&mut self) -> Option<SensorChannel> {
+        if self.service.shutdown() {
+            self.telemetry
+                .journal
+                .info("serve", "dns front-end stopped", &[]);
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // accept() has no timeout; a throwaway connection unblocks it so
-        // it can observe the flag. UDP readers wake on their poll timeout.
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.readers.drain(..) {
-            let _ = handle.join();
-        }
-        // All job senders are now dropped: workers drain the queue, exit,
-        // and release their sensor senders.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.shared
-            .telemetry
-            .journal
-            .info("serve", "dns front-end stopped", &[]);
+        self.sink.take()
     }
 }
 
 impl Drop for DnsServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
-        if let Some(sink) = self.sink.take() {
+        if let Some(sink) = self.stop() {
             // Drop must not panic: a collector panic re-raised by finish()
             // is discarded together with the database nobody will read.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.finish()));
+            let _ = catch_unwind(AssertUnwindSafe(|| sink.finish()));
         }
     }
 }
@@ -304,23 +255,9 @@ impl std::fmt::Debug for DnsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DnsServer")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
-            .field("udp_readers", &self.readers.len())
+            .field("service", &self.service)
             .finish_non_exhaustive()
     }
-}
-
-/// The front-end's sanctioned detached-spawn site, mirroring nxd-obs:
-/// server threads must outlive `bind` (a crossbeam scope would join before
-/// it returned), every handle is joined in shutdown, and request panics
-/// are caught per job and surfaced as metrics + journal error events — the
-/// invariant the `thread::spawn` ban protects holds by other means.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "server threads outlive bind(); all handles joined in shutdown(); per-request panics are caught and recorded as serve_handler_panics_total + journal error events"
-)]
-fn spawn_detached(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::spawn(f)
 }
 
 /// Binds the UDP socket and TCP listener on the same port. The two port
@@ -344,83 +281,22 @@ fn bind_pair(requested: SocketAddr) -> io::Result<(UdpSocket, TcpListener)> {
     }))
 }
 
-fn udp_reader_loop(udp: &UdpSocket, tx: &SyncSender<Job>, shared: &Shared) {
+fn udp_reader_loop(ctx: &Ctx, reader: usize, stop: &AtomicBool) {
     let mut buf = vec![0u8; 65_535];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match udp.recv_from(&mut buf) {
-            Ok((len, peer)) => {
-                let data = buf.get(..len).map(<[u8]>::to_vec).unwrap_or_default();
-                if tx.send(Job::Udp { data, peer }).is_err() {
-                    break;
-                }
-            }
-            // The poll timeout (WouldBlock/TimedOut depending on platform)
-            // just loops back to the shutdown check.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, tx: &SyncSender<Job>, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+    while !stop.load(Ordering::SeqCst) {
+        // A poll timeout (WouldBlock/TimedOut depending on platform) or a
+        // transient error just loops back to the stop check.
+        let Ok((len, peer)) = ctx.udp.recv_from(&mut buf) else {
+            continue;
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wakeup connection itself; nothing to serve.
-            break;
-        }
-        if tx.send(Job::Tcp { stream }).is_err() {
-            break;
+        let query = buf.get(..len).unwrap_or_default();
+        if catch_unwind(AssertUnwindSafe(|| handle_udp(ctx, query, peer))).is_err() {
+            ctx.handler_panicked(&format!("udp-{reader}"));
         }
     }
 }
 
-fn worker_loop(index: usize, ctx: &WorkerCtx) {
-    loop {
-        // Lock only around recv: dequeueing is serialized, handling is
-        // concurrent across workers.
-        let job = {
-            let Ok(guard) = ctx.rx.lock() else { break };
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            }
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| match job {
-            Job::Udp { data, peer } => handle_udp(ctx, &data, peer),
-            Job::Tcp { stream } => handle_tcp(ctx, stream),
-        }));
-        if outcome.is_err() {
-            ctx.metrics.panics.inc();
-            ctx.shared.telemetry.journal.error(
-                "serve",
-                "request handler panicked",
-                &[("worker", &index.to_string())],
-            );
-        }
-    }
-}
-
-fn handle_udp(ctx: &WorkerCtx, data: &[u8], peer: SocketAddr) {
+fn handle_udp(ctx: &Ctx, data: &[u8], peer: SocketAddr) {
     ctx.metrics.udp_queries.inc();
     let watch = Stopwatch::start();
     let Some(answered) = answer(&ctx.dns, data) else {
@@ -434,16 +310,13 @@ fn handle_udp(ctx: &WorkerCtx, data: &[u8], peer: SocketAddr) {
     observe(ctx, peer, &answered, SensorTransport::Udp);
 }
 
-fn handle_tcp(ctx: &WorkerCtx, mut stream: TcpStream) {
+fn handle_tcp(ctx: &Ctx, mut stream: TcpStream, stop: &AtomicBool) {
     ctx.metrics.tcp_connections.inc();
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let Ok(peer) = stream.peer_addr() else { return };
-    loop {
-        if ctx.shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let data = match read_frame(&mut stream, ctx.max_tcp_message) {
+    while !stop.load(Ordering::SeqCst) {
+        let data = match read_frame(&mut stream, MAX_TCP_MESSAGE) {
             Ok(Some(data)) => data,
             Ok(None) => break,
             Err(_) => {
@@ -468,7 +341,7 @@ fn handle_tcp(ctx: &WorkerCtx, mut stream: TcpStream) {
     }
 }
 
-fn observe(ctx: &WorkerCtx, peer: SocketAddr, answered: &Answered, transport: SensorTransport) {
+fn observe(ctx: &Ctx, peer: SocketAddr, answered: &Answered, transport: SensorTransport) {
     let (Some(tx), Some((query_id, name))) = (&ctx.sink_tx, &answered.question) else {
         return;
     };
@@ -508,11 +381,10 @@ pub fn route(dns: &SimDns, query: &Message) -> ServerRef {
 pub fn answer(dns: &SimDns, query_wire: &[u8]) -> Option<Answered> {
     match Message::decode(query_wire) {
         Ok(query) => {
-            let server = route(dns, &query);
-            let wire = match dns.respond(&server, query_wire) {
+            let wire = match dns.respond_to(&route(dns, &query), &query) {
                 Ok(wire) => wire,
-                // Decoded but unanswerable (e.g. un-encodable response):
-                // degrade to FORMERR rather than going silent.
+                // The query decoded, so only encoding the response can
+                // have failed: degrade to FORMERR rather than going silent.
                 Err(_) => formerr_reply(query_wire)?,
             };
             let rcode = wire

@@ -1,5 +1,5 @@
 //! The passive-DNS sensor channel: every answered query streams one
-//! [`SensorEvent`] from the worker that served it into a single collector
+//! [`SensorEvent`] from the thread that served it into a single collector
 //! thread owning a [`PassiveDb`] — the same store the offline pipeline
 //! ingests into, so a served run is queryable by every §4/§5 analysis.
 //!
@@ -62,12 +62,7 @@ impl SensorChannel {
     /// Spawns the collector thread. Served rows land on `day`/`sensor`
     /// (one live front-end is one sensor in the federation model), and the
     /// database's ingest metrics attach to `telemetry` under
-    /// `plane="served"` labels.
-    pub fn spawn(day: u32, sensor: u16, telemetry: Arc<Telemetry>) -> Self {
-        SensorChannel::spawn_with_stream(day, sensor, telemetry, None)
-    }
-
-    /// [`SensorChannel::spawn`] with a live streaming engine: every
+    /// `plane="served"` labels. With a live streaming engine, every
     /// recorded (post-dedup) event is also offered to `stream`, so the
     /// incremental §4 aggregates and sketches update while the front-end
     /// is still serving — and the engine's `stream_queue_depth` gauge
@@ -109,13 +104,13 @@ impl SensorChannel {
 }
 
 /// The sink's sanctioned detached-spawn site: the collector must outlive
-/// `SensorChannel::spawn`, its handle is joined in `finish`, and `finish`
-/// re-raises a collector panic in its caller — the invariant
+/// `SensorChannel::spawn_with_stream`, its handle is joined in `finish`,
+/// and `finish` re-raises a collector panic in its caller — the invariant
 /// `clippy::disallowed_methods` guards here (worker panics are never lost)
 /// holds by other means.
 #[expect(
     clippy::disallowed_methods,
-    reason = "collector outlives spawn(); handle joined in finish(); a collector panic is re-raised by finish(), not a silent death"
+    reason = "collector outlives spawn_with_stream(); handle joined in finish(); a collector panic is re-raised by finish(), not a silent death"
 )]
 fn spawn_collector(f: impl FnOnce() -> PassiveDb + Send + 'static) -> JoinHandle<PassiveDb> {
     std::thread::spawn(f)
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn udp_retransmissions_are_deduplicated() {
         let telemetry = Arc::new(Telemetry::wall());
-        let channel = SensorChannel::spawn(10, 3, telemetry.clone());
+        let channel = SensorChannel::spawn_with_stream(10, 3, telemetry.clone(), None);
         let tx = channel.sender().unwrap();
         tx.send(event(4000, 7, "a.com", SensorTransport::Udp))
             .unwrap();
@@ -198,7 +193,7 @@ mod tests {
     #[test]
     fn tcp_events_are_recorded_verbatim() {
         let telemetry = Arc::new(Telemetry::wall());
-        let channel = SensorChannel::spawn(10, 0, telemetry);
+        let channel = SensorChannel::spawn_with_stream(10, 0, telemetry, None);
         let tx = channel.sender().unwrap();
         tx.send(event(5000, 1, "b.net", SensorTransport::Tcp))
             .unwrap();
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn rows_land_on_the_configured_day_and_sensor() {
         let telemetry = Arc::new(Telemetry::wall());
-        let channel = SensorChannel::spawn(123, 9, telemetry);
+        let channel = SensorChannel::spawn_with_stream(123, 9, telemetry, None);
         let tx = channel.sender().unwrap();
         tx.send(event(6000, 2, "c.org", SensorTransport::Udp))
             .unwrap();

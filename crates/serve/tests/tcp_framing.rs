@@ -4,7 +4,7 @@
 //! every attack the same server keeps answering clean queries.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -185,5 +185,29 @@ fn malformed_header_gets_formerr_on_tcp() {
         .expect("not EOF");
     assert_eq!(&response[..2], &[0x12, 0x34], "query id echoed");
     assert_eq!(response[3] & 0x0F, RCode::FormErr.to_u8());
+    drop(server.shutdown());
+}
+
+#[test]
+fn idle_tcp_connections_do_not_starve_udp() {
+    let (server, _t) = boot();
+    // More idle peers than the TCP pool has workers: each one pins a
+    // worker until its read times out.
+    let idle: Vec<TcpStream> = (0..8).map(|_| connect(&server)).collect();
+    // Let the acceptor hand them to the workers before the datagram lands.
+    std::thread::sleep(Duration::from_millis(100));
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    socket.send_to(&nx_query(42), server.local_addr()).unwrap();
+    let mut buf = [0u8; 512];
+    let (len, _) = socket
+        .recv_from(&mut buf)
+        .expect("UDP answered while TCP peers sit idle");
+    let msg = Message::decode(&buf[..len]).expect("decodes");
+    assert_eq!(msg.header.id, 42);
+    assert_eq!(msg.header.rcode, RCode::NxDomain);
+    drop(idle);
     drop(server.shutdown());
 }
