@@ -427,6 +427,28 @@ mod tests {
     }
 
     #[test]
+    fn expiry_renewal_and_reexpiry_round_trip_the_tld_zone() {
+        let mut d = dns();
+        let tld = ServerRef::Tld("com".into());
+        let answers = |d: &SimDns| {
+            ["example.com", "ns1.example.com"].map(|q| d.query_server(&tld, &n(q), RType::A))
+        };
+        d.tick(SimTime::ERA_START + SimDuration::days(366));
+        for answer in answers(&d) {
+            assert!(matches!(answer, ZoneAnswer::NxDomain(_)), "{answer:?}");
+        }
+        let expires = d.registry_mut().renew(&n("example.com"), 1).unwrap();
+        d.tick(SimTime::ERA_START + SimDuration::days(367));
+        for answer in answers(&d) {
+            assert!(matches!(answer, ZoneAnswer::Delegation(_)), "{answer:?}");
+        }
+        d.tick(expires + SimDuration::days(1));
+        for answer in answers(&d) {
+            assert!(matches!(answer, ZoneAnswer::NxDomain(_)), "{answer:?}");
+        }
+    }
+
+    #[test]
     fn drop_catch_reprovisions() {
         let mut d = dns();
         d.registry_mut().drop_catch(&n("example.com"), "speculator");

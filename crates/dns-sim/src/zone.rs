@@ -33,9 +33,11 @@ pub struct Zone {
     soa: Soa,
     soa_ttl: u32,
     records: BTreeMap<(Name, u16), Vec<Record>>,
-    /// Names that exist (either hold records or are ancestors of ones that
-    /// do) — needed to distinguish NODATA from NXDOMAIN.
-    existing: BTreeMap<Name, ()>,
+    /// For every name that exists, the number of records at or below it.
+    /// A name exists (RFC 1034 §4.3.2) iff it holds records or is an
+    /// ancestor of one that does, so NODATA vs NXDOMAIN is one key probe;
+    /// a name leaves the map when its count reaches zero.
+    existing: BTreeMap<Name, usize>,
 }
 
 impl Zone {
@@ -101,25 +103,17 @@ impl Zone {
             record.name,
             self.apex
         );
-        // Mark the owner and all ancestors up to the apex as existing.
-        let mut cur = record.name.clone();
-        loop {
-            self.existing.insert(cur.clone(), ());
-            if cur == self.apex {
-                break;
-            }
-            match cur.parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
+        for name in owner_and_ancestors(&record.name, &self.apex) {
+            *self.existing.entry(name).or_default() += 1;
         }
         let key = (record.name.clone(), record.rtype().to_u16());
         self.records.entry(key).or_default().push(record);
     }
 
     /// Removes all records at `name` (all types). Returns how many were
-    /// removed. Does not prune the `existing` set of ancestors since other
-    /// names may still depend on them; exact-name existence is pruned.
+    /// removed. The owner and each ancestor lose that many records from
+    /// their counts, so an ancestor left with nothing at or below it stops
+    /// existing and answers NXDOMAIN again.
     pub fn remove_name(&mut self, name: &Name) -> usize {
         let keys: Vec<_> = self
             .records
@@ -133,7 +127,14 @@ impl Zone {
             }
         }
         if removed > 0 {
-            self.existing.remove(name);
+            for owner in owner_and_ancestors(name, &self.apex) {
+                if let Some(count) = self.existing.get_mut(&owner) {
+                    *count -= removed;
+                    if *count == 0 {
+                        self.existing.remove(&owner);
+                    }
+                }
+            }
         }
         removed
     }
@@ -145,25 +146,14 @@ impl Zone {
             return ZoneAnswer::OutOfZone;
         }
 
-        // Walk from the apex down looking for a delegation cut strictly
-        // between the apex and the qname.
-        if qname != &self.apex {
-            let depth = qname.label_count() - self.apex.label_count();
-            for d in 1..=depth {
-                let candidate = qname.suffix(self.apex.label_count() + d);
-                if candidate == *qname && d == depth {
-                    // The qname itself: NS at the qname is a delegation only
-                    // if the query is not for NS at a cut we own; treat NS
-                    // RRset below apex as a cut.
-                }
-                if candidate != self.apex {
-                    if let Some(ns) = self.records.get(&(candidate.clone(), RType::Ns.to_u16())) {
-                        // Found a cut. If the qname equals the cut and asks
-                        // for NS, answer authoritatively from the parent side
-                        // as a referral anyway (matches real-world parents).
-                        return ZoneAnswer::Delegation(ns.clone());
-                    }
-                }
+        // Walk from just below the apex down to the qname looking for a
+        // delegation cut (an NS RRset below the apex). If the qname equals
+        // the cut and asks for NS, answer from the parent side as a
+        // referral anyway (matches real-world parents).
+        for labels in self.apex.label_count() + 1..=qname.label_count() {
+            let candidate = qname.suffix(labels);
+            if let Some(ns) = self.records.get(&(candidate, RType::Ns.to_u16())) {
+                return ZoneAnswer::Delegation(ns.clone());
             }
         }
 
@@ -175,15 +165,8 @@ impl Zone {
         if let Some(cname) = self.records.get(&(qname.clone(), RType::Cname.to_u16())) {
             return ZoneAnswer::Answer(cname.clone());
         }
+        // Holding records or being an empty non-terminal both count.
         if self.existing.contains_key(qname) {
-            return ZoneAnswer::NoData(self.soa_record());
-        }
-        // Empty non-terminal check: any existing name below qname?
-        let has_descendant = self
-            .existing
-            .keys()
-            .any(|n| n != qname && n.is_subdomain_of(qname));
-        if has_descendant {
             return ZoneAnswer::NoData(self.soa_record());
         }
         ZoneAnswer::NxDomain(self.soa_record())
@@ -193,6 +176,11 @@ impl Zone {
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         self.records.values().flatten()
     }
+}
+
+/// `name` and each of its ancestors down to and including `apex`.
+fn owner_and_ancestors<'a>(name: &'a Name, apex: &Name) -> impl Iterator<Item = Name> + 'a {
+    (apex.label_count()..=name.label_count()).map(|labels| name.suffix(labels))
 }
 
 #[cfg(test)]
@@ -347,6 +335,24 @@ mod tests {
             ZoneAnswer::NxDomain(_)
         ));
         assert_eq!(z.remove_name(&n("www.example.com")), 0);
+    }
+
+    #[test]
+    fn removing_the_only_descendant_prunes_empty_non_terminals() {
+        let mut z = example_zone();
+        z.add(Record::new(
+            n("a.b.example.com"),
+            60,
+            RData::A(Ipv4Addr::new(192, 0, 2, 9)),
+        ));
+        assert_eq!(z.remove_name(&n("a.b.example.com")), 1);
+        // RFC 1034 §4.3.2: with nothing left below it, "b" no longer exists.
+        for q in ["b.example.com", "a.b.example.com"] {
+            assert!(
+                matches!(z.lookup(&n(q), RType::A), ZoneAnswer::NxDomain(_)),
+                "{q} should be NXDOMAIN"
+            );
+        }
     }
 
     #[test]

@@ -9,24 +9,30 @@
 //! server answers again and the sink would see the event twice. To keep a
 //! served run's aggregates *exactly* equal to the offline batch ingest of
 //! the same query list, UDP events are deduplicated on
-//! (peer address, query id, qname) — load clients stamp a fresh id per
-//! query, so a duplicate key can only be a retransmission. TCP delivers
-//! each pipelined query exactly once, so TCP events are recorded as-is.
+//! (peer address, query id, qname) inside a [`RetransmitWindow`] of the
+//! last [`RETRANSMIT_WINDOW`] keys. Load clients stamp sequential 16-bit
+//! ids, so a peer's key can recur as a *new* query only after 65,535 other
+//! keys from that peer; the window is half that, so a wrapped id has left
+//! it even when up to half of the peer's id cycle was lost or reordered on
+//! the way to the sink. A retransmission is caught as long as fewer than
+//! 32,768 keys (from all peers) arrived since its original: a stub's
+//! retries over 6 s at up to ~5.4k q/s. TCP delivers each pipelined query
+//! exactly once, so TCP events are recorded as-is.
 //!
 //! This module denies `clippy::disallowed_types` and
-//! `clippy::float_arithmetic`: the dedup set is a `BTreeSet` and all
-//! tallies are integral, so nothing about the served database depends on
-//! arrival order.
+//! `clippy::float_arithmetic`: the dedup window is a `BTreeSet` plus a
+//! FIFO of interned-name keys and all tallies are integral, so nothing
+//! about the served database depends on hash order.
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nxd_dns_wire::RCode;
-use nxd_passive_dns::{PassiveDb, StreamEngine};
+use nxd_passive_dns::{NameId, Observation, PassiveDb, StreamEngine};
 use nxd_telemetry::Telemetry;
 
 /// How the query arrived; decides whether the dedup filter applies.
@@ -49,6 +55,51 @@ pub struct SensorEvent {
 /// Events the channel buffers before workers block in `send` — sized so a
 /// slow collector exerts backpressure instead of growing without bound.
 const SINK_DEPTH: usize = 1024;
+
+/// UDP keys the dedup window remembers: half the 16-bit id space. A
+/// window of the whole space would be exact only for lossless, in-order
+/// delivery: one lost or reordered query leaves a wrapped key inside it,
+/// that false duplicate is never admitted, and every later wrapped key
+/// follows. Keys are 40 bytes (the name is its interned id), so the
+/// window stays near 3 MiB whatever the server's lifetime.
+const RETRANSMIT_WINDOW: usize = 1 << 15;
+
+type DedupKey = (SocketAddr, u16, NameId);
+
+/// The last `capacity` distinct UDP keys, oldest first: the set answers
+/// "seen recently?", the FIFO decides which key leaves when a new one
+/// arrives at capacity.
+struct RetransmitWindow {
+    capacity: usize,
+    seen: BTreeSet<DedupKey>,
+    order: VecDeque<DedupKey>,
+}
+
+impl RetransmitWindow {
+    fn new(capacity: usize) -> Self {
+        RetransmitWindow {
+            capacity,
+            seen: BTreeSet::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Admits `key`, evicting the oldest key at capacity. Returns `false`
+    /// when the key is already in the window: a retransmission.
+    fn insert(&mut self, key: DedupKey) -> bool {
+        if self.seen.contains(&key) {
+            return false;
+        }
+        if self.order.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.seen.remove(&oldest);
+            }
+        }
+        self.seen.insert(key);
+        self.order.push_back(key);
+        true
+    }
+}
 
 /// A running sensor channel: clone [`SensorChannel::sender`] into each
 /// worker, then [`SensorChannel::finish`] after the workers are joined to
@@ -127,18 +178,27 @@ fn collect(
     db.attach_metrics_labeled(&telemetry.registry, &[("plane", "served")]);
     let duplicates = telemetry.registry.counter("serve_sink_duplicates_total");
     let recorded = telemetry.registry.counter("serve_sink_recorded_total");
-    let mut seen: BTreeSet<(SocketAddr, u16, String)> = BTreeSet::new();
+    let mut window = RetransmitWindow::new(RETRANSMIT_WINDOW);
     while let Ok(event) = rx.recv() {
         if let Some(engine) = &stream {
             engine.set_queue_depth(rx.len());
         }
+        // Interning before the dedup decision adds nothing for a
+        // duplicate: its original was recorded, so its name is interned.
+        let name = db.interner_mut().intern_str(&event.name);
         if event.transport == SensorTransport::Udp
-            && !seen.insert((event.peer, event.query_id, event.name.clone()))
+            && !window.insert((event.peer, event.query_id, name))
         {
             duplicates.inc();
             continue;
         }
-        db.record_str(&event.name, day, sensor, event.rcode, 1);
+        db.append(Observation {
+            name,
+            day,
+            sensor,
+            rcode: event.rcode.to_u8(),
+            count: 1,
+        });
         recorded.inc();
         if let Some(engine) = &stream {
             // The live plane sees exactly the rows the served database
@@ -157,6 +217,15 @@ fn collect(
 mod tests {
     use super::*;
     use nxd_passive_dns::query;
+    use proptest::prelude::*;
+
+    fn key(port: u16, id: u16, name: u32) -> DedupKey {
+        (
+            format!("127.0.0.1:{port}").parse().unwrap(),
+            id,
+            NameId(name),
+        )
+    }
 
     fn event(port: u16, id: u16, name: &str, transport: SensorTransport) -> SensorEvent {
         SensorEvent {
@@ -255,5 +324,111 @@ mod tests {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| channel.finish()));
         let payload = outcome.expect_err("finish must unwind when the collector panicked");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"collector died"));
+    }
+
+    #[test]
+    fn a_repeat_inside_the_window_is_a_duplicate() {
+        let mut window = RetransmitWindow::new(RETRANSMIT_WINDOW);
+        assert!(window.insert(key(4000, 7, 0)));
+        // RETRANSMIT_WINDOW - 1 newer keys leave the first one inside.
+        for id in 0..RETRANSMIT_WINDOW - 1 {
+            assert!(window.insert(key(4001, id as u16, 0)));
+        }
+        assert!(!window.insert(key(4000, 7, 0)));
+        assert_eq!(window.seen.len(), RETRANSMIT_WINDOW);
+    }
+
+    #[test]
+    fn a_key_pushed_out_of_the_window_is_recorded_again() {
+        let telemetry = Arc::new(Telemetry::wall());
+        let channel = SensorChannel::spawn_with_stream(10, 3, telemetry.clone(), None);
+        let tx = channel.sender().unwrap();
+        tx.send(event(4000, 7, "a.com", SensorTransport::Udp))
+            .unwrap();
+        for id in 0..RETRANSMIT_WINDOW {
+            tx.send(event(4001, id as u16, "a.com", SensorTransport::Udp))
+                .unwrap();
+        }
+        // The same (peer, id, name) after the id space wrapped: a new query.
+        tx.send(event(4000, 7, "a.com", SensorTransport::Udp))
+            .unwrap();
+        drop(tx);
+        let db = channel.finish();
+        assert_eq!(db.row_count(), RETRANSMIT_WINDOW + 2);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter_total("serve_sink_duplicates_total"), 0);
+    }
+
+    /// One client stamping sequential ids over a cycle of 16 names sends
+    /// query `i` (id `i mod 65,536`) for each `i` in `order`. Returns the
+    /// recorded rows and the duplicates counted.
+    fn one_peer_run(order: impl IntoIterator<Item = usize>) -> (usize, u64) {
+        let telemetry = Arc::new(Telemetry::wall());
+        let channel = SensorChannel::spawn_with_stream(10, 3, telemetry.clone(), None);
+        let tx = channel.sender().unwrap();
+        for i in order {
+            let name = format!("n{}.com", i % 16);
+            tx.send(event(4000, i as u16, &name, SensorTransport::Udp))
+                .unwrap();
+        }
+        drop(tx);
+        let rows = channel.finish().row_count();
+        let duplicates = telemetry
+            .snapshot()
+            .counter_total("serve_sink_duplicates_total");
+        (rows, duplicates)
+    }
+
+    #[test]
+    fn one_peer_retransmits_are_caught_until_its_ids_wrap() {
+        // At 5,000 q/s a stub's third retry (after three 2 s timeouts)
+        // follows its original by 30,000 queries: still a duplicate.
+        assert_eq!(one_peer_run((0..30_000).chain([0])), (30_000, 1));
+        // Query 65,536 carries id 0 and query 0's name again once the ids
+        // wrap: a new query, recorded.
+        assert_eq!(one_peer_run(0..=65_536), (65_537, 0));
+    }
+
+    #[test]
+    fn lost_or_reordered_queries_do_not_turn_wrapped_ids_into_duplicates() {
+        // The first id cycle loses every eighth query and arrives with
+        // neighbours swapped; the second cycle reuses every id and name.
+        let mut first: Vec<usize> = (0..65_536).filter(|i| i % 8 != 7).collect();
+        first.chunks_mut(2).for_each(<[usize]>::reverse);
+        let sent = first.len() + 65_536;
+        assert_eq!(
+            one_peer_run(first.into_iter().chain(65_536..131_072)),
+            (sent, 0)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Against a model that keeps every admitted key: a key is a
+        /// duplicate iff it is among the last `capacity` admitted, and the
+        /// window never holds more than `capacity` keys.
+        #[test]
+        fn the_window_is_bounded_and_dedups_exactly_the_recent_keys(
+            capacity in 1usize..6,
+            keys in proptest::collection::vec(
+                (0u16..3, 0u16..4, 0u32..2),
+                1..80,
+            ),
+        ) {
+            let mut window = RetransmitWindow::new(capacity);
+            let mut admitted: Vec<DedupKey> = Vec::new();
+            for (port, id, name) in keys {
+                let k = key(4000 + port, id, name);
+                let recent = &admitted[admitted.len().saturating_sub(capacity)..];
+                let expect_new = !recent.contains(&k);
+                prop_assert_eq!(window.insert(k), expect_new);
+                if expect_new {
+                    admitted.push(k);
+                }
+                prop_assert!(window.seen.len() <= capacity);
+                prop_assert_eq!(window.seen.len(), window.order.len());
+            }
+        }
     }
 }
