@@ -9,7 +9,7 @@ use nxd_analyzer::Analyzer;
 use nxd_dns_sim::{
     HijackPolicy, Resolver, ResolverConfig, ServerRef, SimDns, SimDuration, SimTime, Sinkhole,
 };
-use nxd_dns_wire::{Message, Name, RCode, RType};
+use nxd_dns_wire::{Edns, EdnsMessage, Message, Name, RCode, RType};
 
 fn n(s: &str) -> Name {
     s.parse().unwrap()
@@ -40,16 +40,23 @@ fn world() -> SimDns {
     dns
 }
 
-/// Sends `qname`/`qtype` to `server` over the wire and returns the analyzer
-/// report for the raw response bytes.
+/// Sends `qname`/`qtype` to `server` over the wire — with an EDNS OPT if
+/// `edns` — and returns the analyzer report for the raw response bytes. An
+/// EDNS query must get an OPT back (RFC 6891 §7).
 fn analyze_authoritative(
     dns: &SimDns,
     server: &ServerRef,
     qname: &str,
     qtype: RType,
+    edns: bool,
 ) -> nxd_analyzer::Report {
-    let query = Message::query(0x4242, n(qname), qtype);
+    let mut query = Message::query(0x4242, n(qname), qtype);
+    if edns {
+        query.set_edns(Edns::default());
+    }
     let wire = dns.respond(server, &query.encode().unwrap()).unwrap();
+    let echoed = Message::decode(&wire).unwrap().edns();
+    assert_eq!(echoed.is_some(), edns, "{server:?} {qname}: OPT echo");
     Analyzer::new().analyze_bytes(&wire).unwrap()
 }
 
@@ -65,8 +72,11 @@ fn authoritative_nxdomain_responses_are_strictly_clean() {
             RType::A,
         ),
     ];
-    for (server, qname, qtype) in cases {
-        let report = analyze_authoritative(&dns, &server, qname, qtype);
+    for ((server, qname, qtype), edns) in cases
+        .into_iter()
+        .flat_map(|c| [(c.clone(), false), (c, true)])
+    {
+        let report = analyze_authoritative(&dns, &server, qname, qtype, edns);
         report.assert_no_high(&format!("{server:?} NXDOMAIN for {qname}"));
         // The simulated authorities should in fact be fully conformant.
         assert!(
@@ -94,8 +104,11 @@ fn authoritative_nodata_and_answers_are_strictly_clean() {
         (ServerRef::Auth(n("example.com")), "example.com", RType::Ns), // apex NS
         (ServerRef::Tld("com".into()), "www.example.com", RType::A),   // referral
     ];
-    for (server, qname, qtype) in cases {
-        let report = analyze_authoritative(&dns, &server, qname, qtype);
+    for ((server, qname, qtype), edns) in cases
+        .into_iter()
+        .flat_map(|c| [(c.clone(), false), (c, true)])
+    {
+        let report = analyze_authoritative(&dns, &server, qname, qtype, edns);
         assert!(
             report.is_clean(),
             "{server:?} {qname}: {}",

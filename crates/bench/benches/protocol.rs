@@ -116,41 +116,12 @@ fn bench_resolver(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_transport_and_zonefile(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transport");
-    let (dns, names) = resolver_world();
-    let t = SimTime::ERA_START + SimDuration::days(1);
-    g.bench_function("wire_exchange_lossless", |b| {
-        let mut resolver = Resolver::new(ResolverConfig::default());
-        let mut ch = nxd_dns_sim::WireChannel::new(nxd_dns_sim::TransportConfig::default());
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = Message::query(i as u16, names[i % names.len()].clone(), RType::A);
-            i += 1;
-            black_box(ch.exchange(&mut resolver, &dns, q, t).unwrap())
-        })
-    });
-    g.bench_function("wire_exchange_lossy_15pct", |b| {
-        let mut resolver = Resolver::new(ResolverConfig::default());
-        let mut ch = nxd_dns_sim::WireChannel::new(nxd_dns_sim::TransportConfig {
-            loss_permille: 150,
-            max_retries: 8,
-            seed: 5,
-            ..Default::default()
-        });
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = Message::query(i as u16, names[i % names.len()].clone(), RType::A);
-            i += 1;
-            black_box(ch.exchange(&mut resolver, &dns, q, t).ok())
-        })
-    });
+fn bench_zonefile_and_pcap(c: &mut Criterion) {
     const ZONE: &str = "$ORIGIN bench.com.\n$TTL 300\n@ IN SOA ns1 host 1 2 3 4 5\n@ IN NS ns1\nns1 IN A 192.0.2.1\nwww IN A 192.0.2.2\nmail IN MX 10 mx1\nalias IN CNAME www\n";
-    g.bench_function("zonefile_parse", |b| {
+    c.bench_function("zonefile/parse", |b| {
         let apex: Name = "bench.com".parse().unwrap();
         b.iter(|| black_box(nxd_dns_sim::parse_zone(ZONE, &apex).unwrap()))
     });
-    g.finish();
 
     // pcap serialization throughput.
     let packets: Vec<nxd_honeypot::Packet> = (0..256)
@@ -178,6 +149,6 @@ criterion_group!(
     bench_wire,
     bench_http_parse,
     bench_resolver,
-    bench_transport_and_zonefile
+    bench_zonefile_and_pcap
 );
 criterion_main!(benches);

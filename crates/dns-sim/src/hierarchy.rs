@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use nxd_dns_wire::{Message, Name, RCode, RData, RType, Record, WireError};
+use nxd_dns_wire::{Edns, EdnsMessage, Message, Name, RCode, RData, RType, Record, WireError};
 
 use crate::registry::{EventKind, Phase, Registry, RegistryConfig, RegistryError};
 use crate::resolver::clamp_negative_soa;
@@ -237,7 +237,9 @@ impl SimDns {
     /// bits — AA set on authoritative data and denials (RFC 1035 §4.1.1),
     /// RA clear (authoritative servers offer no recursion), and the zone
     /// SOA (TTL capped at the SOA MINIMUM) in the authority section of
-    /// negative answers (RFC 2308 §2.1).
+    /// negative answers (RFC 2308 §2.1), and an OPT record (version 0,
+    /// [`DEFAULT_EDNS_PAYLOAD`](nxd_dns_wire::DEFAULT_EDNS_PAYLOAD)) when
+    /// the query carried one (RFC 6891 §7).
     pub fn respond(&self, server: &ServerRef, query_wire: &[u8]) -> Result<Vec<u8>, WireError> {
         self.respond_to(server, &Message::decode(query_wire)?)
     }
@@ -276,6 +278,9 @@ impl SimDns {
             None => Message::response(query, RCode::FormErr),
         };
         resp.header.ra = false;
+        if query.edns().is_some() {
+            resp.set_edns(Edns::default());
+        }
         resp.encode()
     }
 

@@ -37,7 +37,6 @@ pub mod resolver;
 pub mod reverse;
 pub mod sinkhole;
 pub mod time;
-pub mod transport;
 pub mod zone;
 pub mod zonefile;
 
@@ -50,6 +49,5 @@ pub use resolver::{
 pub use reverse::ReverseDns;
 pub use sinkhole::{Sinkhole, SinkholeEvent};
 pub use time::{SimDuration, SimTime, SECONDS_PER_DAY};
-pub use transport::{TransportConfig, TransportError, TransportStats, WireChannel};
 pub use zone::{Zone, ZoneAnswer};
 pub use zonefile::{parse_records, parse_zone, ZoneFileError};

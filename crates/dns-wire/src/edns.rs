@@ -4,9 +4,14 @@
 //! UDP payload size, TTL packs the extended RCODE, EDNS version, and the
 //! DO bit, and RDATA holds a list of `(option-code, option-data)` pairs.
 //! The simulation uses EDNS for realistic message-size negotiation (large
-//! responses fit without truncation when the client advertises > 512).
+//! responses fit without truncation when the client advertises > 512), and
+//! [`fit_udp`] is the one datagram-size policy: what does not fit the
+//! querier's limit goes out as a TC=1 stub.
 
-use crate::message::{Message, Record};
+use std::borrow::Cow;
+
+use crate::error::WireError;
+use crate::message::{Header, Message, Record};
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
@@ -131,6 +136,35 @@ impl EdnsMessage for Message {
             .map(|e| (e.udp_payload as usize).max(CLASSIC_UDP_LIMIT))
             .unwrap_or(CLASSIC_UDP_LIMIT)
     }
+}
+
+/// Fits a UDP response to the querier's payload limit
+/// ([`EdnsMessage::udp_limit`] of the query). A response that fits is
+/// returned byte for byte; an oversized one becomes the RFC 6891 §7 minimal
+/// response — the same header with TC=1, the question section, and the
+/// response's OPT record if it has one — so the client retries over TCP.
+/// Only the oversize path decodes, and only it can fail.
+pub fn fit_udp(response: &[u8], limit: usize) -> Result<Cow<'_, [u8]>, WireError> {
+    if response.len() <= limit {
+        return Ok(Cow::Borrowed(response));
+    }
+    let Message {
+        header,
+        questions,
+        additionals,
+        ..
+    } = Message::decode(response)?;
+    let stub = Message {
+        header: Header { tc: true, ..header },
+        questions,
+        answers: Vec::new(),
+        authorities: Vec::new(),
+        additionals: additionals
+            .into_iter()
+            .filter(|r| r.rtype() == RType::Opt)
+            .collect(),
+    };
+    Ok(Cow::Owned(stub.encode()?))
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub mod rdata;
 pub mod types;
 
 pub use codec::{WireReader, WireWriter};
-pub use edns::{Edns, EdnsMessage, EdnsOption, CLASSIC_UDP_LIMIT, DEFAULT_EDNS_PAYLOAD};
+pub use edns::{fit_udp, Edns, EdnsMessage, EdnsOption, CLASSIC_UDP_LIMIT, DEFAULT_EDNS_PAYLOAD};
 pub use error::WireError;
 pub use message::{Header, Message, Question, Record};
 pub use name::Name;

@@ -1,6 +1,9 @@
-//! Property-based tests for name and message wire round-trips.
+//! Property-based tests for name and message wire round-trips, and for
+//! the UDP size policy ([`fit_udp`]) over them.
 
-use nxd_dns_wire::{Message, Name, RCode, RData, RType, Record, Soa};
+use nxd_dns_wire::{
+    fit_udp, Edns, EdnsMessage, Message, Name, OpCode, RCode, RData, RType, Record, Soa,
+};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -98,6 +101,48 @@ proptest! {
         let compressed = resp.encode().unwrap().len();
         let plain = resp.encode_uncompressed().unwrap().len();
         prop_assert!(compressed <= plain);
+    }
+
+    #[test]
+    fn fit_udp_fits_or_sends_the_minimal_tc_stub(
+        id in any::<u16>(),
+        opcode in (0u8..16).prop_map(|v| OpCode::from_u8(v).unwrap()),
+        rcode in 0u8..16,
+        qname in arb_name(),
+        txt in proptest::collection::vec("[ -~]{0,250}", 0..13),
+        opt in (any::<bool>(), any::<u16>()).prop_map(|(on, size)| on.then_some(size)),
+        limit in 512usize..=4096,
+    ) {
+        let mut q = Message::query(id, qname.clone(), RType::Txt);
+        q.header.opcode = opcode;
+        let mut resp = Message::response(&q, RCode::from_u8(rcode));
+        resp.answers = txt
+            .into_iter()
+            .map(|t| Record::new(qname.clone(), 300, RData::Txt(vec![t])))
+            .collect();
+        if let Some(udp_payload) = opt {
+            resp.set_edns(Edns { udp_payload, ..Edns::default() });
+        }
+        let wire = resp.encode().unwrap();
+        let fits = wire.len() <= limit;
+        let out = fit_udp(&wire, limit).unwrap();
+
+        // Whole if it fits, else the minimal TC response: header (TC=1),
+        // question, OPT — which these short names always fit in 512 octets.
+        let mut minimal = Message::response(&q, resp.header.rcode);
+        minimal.header.tc = true;
+        minimal.additionals = resp.additionals.clone();
+        let expected = if fits { wire.clone() } else { minimal.encode().unwrap() };
+        prop_assert_eq!(&out[..], &expected[..]);
+        prop_assert!(out.len() <= limit);
+
+        let back = Message::decode(&out).unwrap();
+        prop_assert_eq!(back.header.id, id);
+        prop_assert_eq!(back.header.opcode, opcode);
+        prop_assert_eq!(back.header.rcode, resp.header.rcode);
+        prop_assert_eq!(&back.questions, &q.questions);
+        prop_assert_eq!(back.header.tc, !fits);
+        prop_assert_eq!(back.edns(), resp.edns());
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //!
 //! ## Contracts
 //!
-//! * **Byte parity** — for every decodable query the served response is
+//! * **Byte parity** — for every decodable query the served response
+//!   (over TCP, and over UDP when it fits the query's advertised limit) is
 //!   byte-identical to offline [`SimDns::respond`](nxd_dns_sim::SimDns::respond)
 //!   for the same question against the same server (the one
-//!   [`route`](server::route) picks). Undecodable-but-headed packets get a
+//!   [`route`](server::route) picks). An oversized UDP answer goes out as a
+//!   TC=1 stub ([`fit_udp`](nxd_dns_wire::fit_udp)) and the client retries
+//!   over TCP. Undecodable-but-headed packets get a
 //!   minimal FORMERR echoing the query id; headerless ones are dropped
 //!   (UDP) or end the connection (TCP).
 //! * **Ingest parity** — every answered query streams one

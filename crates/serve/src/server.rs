@@ -15,11 +15,13 @@
 //! Byte parity: [`answer`] routes a decodable query with
 //! [`SimDns::next_server`] (falling back to the root for unknown TLDs,
 //! exactly where a resolver with an empty cache would start) and returns
-//! [`SimDns::respond_to`]'s bytes untouched. The UDP path never truncates:
-//! the simulated hierarchy's responses fit classic 512-byte datagrams by
-//! construction, and datagram-size policy stays in the offline
-//! [`WireChannel`](nxd_dns_sim::WireChannel) transport model.
+//! [`SimDns::respond_to`]'s bytes untouched, so every TCP answer is the
+//! offline answer. A UDP answer goes out through [`fit_udp`]: whole when it
+//! fits the query's advertised limit (512 octets, or its EDNS payload
+//! size), else as the RFC 6891 §7 TC=1 stub (header, question, OPT) that
+//! sends the client to TCP — counted in `serve_udp_truncated_total`.
 
+use std::borrow::Cow;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nxd_dns_sim::{ServerRef, SimDns, SimTime};
-use nxd_dns_wire::{Message, RCode};
+use nxd_dns_wire::{fit_udp, EdnsMessage, Message, RCode, CLASSIC_UDP_LIMIT};
 use nxd_obs::Service;
 use nxd_passive_dns::{PassiveDb, StreamEngine};
 use nxd_telemetry::{Counter, Histogram, Registry, Stopwatch, Telemetry};
@@ -75,6 +77,7 @@ impl Default for ServeConfig {
 /// Hot-path metric handles, resolved once instead of per request.
 struct ServeMetrics {
     udp_queries: Counter,
+    udp_truncated: Counter,
     tcp_connections: Counter,
     tcp_queries: Counter,
     tcp_frame_errors: Counter,
@@ -98,9 +101,14 @@ impl ServeMetrics {
             "serve_request_latency_ns",
             "decode→respond→send latency per served request",
         );
+        registry.describe(
+            "serve_udp_truncated_total",
+            "UDP responses over the query's payload limit, sent as TC=1 stubs",
+        );
         let rcode = |label| registry.counter_with("serve_responses_total", &[("rcode", label)]);
         ServeMetrics {
             udp_queries: registry.counter("serve_udp_queries_total"),
+            udp_truncated: registry.counter("serve_udp_truncated_total"),
             tcp_connections: registry.counter("serve_tcp_connections_total"),
             tcp_queries: registry.counter("serve_tcp_queries_total"),
             tcp_frame_errors: registry.counter("serve_tcp_frame_errors_total"),
@@ -304,7 +312,16 @@ fn handle_udp(ctx: &Ctx, data: &[u8], peer: SocketAddr) {
         ctx.metrics.dropped.inc();
         return;
     };
-    let _ = ctx.udp.send_to(&answered.wire, peer);
+    let Ok(wire) = fit_udp(&answered.wire, answered.udp_limit) else {
+        // Only an undecodable oversized response fails to fit; `answer`
+        // encodes every response it returns, so this drop never fires.
+        ctx.metrics.dropped.inc();
+        return;
+    };
+    if let Cow::Owned(_) = wire {
+        ctx.metrics.udp_truncated.inc();
+    }
+    let _ = ctx.udp.send_to(&wire, peer);
     ctx.metrics.record_rcode(answered.rcode);
     ctx.metrics.latency.record(watch.elapsed_nanos());
     observe(ctx, peer, &answered, SensorTransport::Udp);
@@ -363,6 +380,9 @@ pub struct Answered {
     /// `(query id, question name)` when the query decoded.
     pub question: Option<(u16, String)>,
     pub rcode: RCode,
+    /// The largest UDP response the querier accepts
+    /// ([`EdnsMessage::udp_limit`]; 512 when the query did not decode).
+    pub udp_limit: usize,
 }
 
 /// Which server answers `query`: the authoritative zone if the registrable
@@ -399,12 +419,14 @@ pub fn answer(dns: &SimDns, query_wire: &[u8]) -> Option<Answered> {
                 wire,
                 question,
                 rcode,
+                udp_limit: query.udp_limit(),
             })
         }
         Err(_) => Some(Answered {
             wire: formerr_reply(query_wire)?,
             question: None,
             rcode: RCode::FormErr,
+            udp_limit: CLASSIC_UDP_LIMIT,
         }),
     }
 }
@@ -427,7 +449,7 @@ fn formerr_reply(query_wire: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nxd_dns_wire::{Name, RType};
+    use nxd_dns_wire::{Edns, Name, RType};
     use std::net::Ipv4Addr;
 
     fn world() -> Arc<SimDns> {
@@ -453,19 +475,29 @@ mod tests {
     #[test]
     fn answer_is_byte_identical_to_offline_respond() {
         let dns = world();
-        for (name, rtype) in [
-            ("served.com", RType::A),
-            ("www.served.com", RType::A),
-            ("served.com", RType::Mx),
-            ("ghost.served.com", RType::A),
-            ("never.com", RType::A),
-            ("nope.unknowntld", RType::A),
+        for (name, rtype, edns) in [
+            ("served.com", RType::A, None),
+            ("www.served.com", RType::A, None),
+            ("served.com", RType::Mx, None),
+            ("ghost.served.com", RType::A, None),
+            ("never.com", RType::A, None),
+            ("nope.unknowntld", RType::A, None),
+            ("ghost.served.com", RType::A, Some(4096)),
         ] {
-            let wire = query(77, name, rtype);
-            let decoded = Message::decode(&wire).unwrap();
+            let mut decoded = Message::query(77, name.parse().unwrap(), rtype);
+            if let Some(udp_payload) = edns {
+                decoded.set_edns(Edns {
+                    udp_payload,
+                    ..Edns::default()
+                });
+            }
+            let wire = decoded.encode().unwrap();
             let offline = dns.respond(&route(&dns, &decoded), &wire).unwrap();
             let served = answer(&dns, &wire).unwrap();
-            assert_eq!(served.wire, offline, "{name} {rtype:?}");
+            assert_eq!(served.wire, offline, "{name} {rtype:?} {edns:?}");
+            assert_eq!(served.udp_limit, edns.map_or(512, usize::from));
+            let echoed = Message::decode(&served.wire).unwrap().edns();
+            assert_eq!(echoed.is_some(), edns.is_some(), "{name} OPT echo");
         }
     }
 

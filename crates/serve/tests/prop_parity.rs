@@ -1,7 +1,8 @@
 //! Property tests for the two serving contracts.
 //!
 //! * **Byte parity** — for ANY question (era names, random labels, odd
-//!   rtypes, any id) the served answer path returns exactly
+//!   rtypes, any id, with or without an EDNS OPT) the served answer path
+//!   returns exactly
 //!   `SimDns::respond`'s bytes for the routed server.
 //! * **Ingest parity** — for ANY replay schedule over real UDP sockets —
 //!   duplicate names, colliding query ids, retransmission-shaped repeats —
@@ -12,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use nxd_dns_wire::{Message, Name, RType};
+use nxd_dns_wire::{Edns, EdnsMessage, Message, Name, RType};
 use nxd_passive_dns::PassiveDb;
 use nxd_serve::{
     answer, build_world, ingest_parity, route, stamp_id, DnsServer, ServeConfig, ServeWorld,
@@ -67,11 +68,21 @@ fn arb_rtype() -> impl Strategy<Value = RType> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Served answers are byte-identical to offline `SimDns::respond`.
+    /// Served answers are byte-identical to offline `SimDns::respond`,
+    /// with or without an EDNS OPT on the query.
     #[test]
-    fn answer_equals_respond(name in arb_name(), rtype in arb_rtype(), id in 0u16..=u16::MAX) {
+    fn answer_equals_respond(
+        name in arb_name(),
+        rtype in arb_rtype(),
+        id in 0u16..=u16::MAX,
+        edns in (any::<bool>(), any::<u16>()).prop_map(|(on, size)| on.then_some(size)),
+    ) {
         let world = world();
-        let wire = Message::query(id, name, rtype).encode().expect("encodes");
+        let mut query = Message::query(id, name, rtype);
+        if let Some(udp_payload) = edns {
+            query.set_edns(Edns { udp_payload, ..Edns::default() });
+        }
+        let wire = query.encode().expect("encodes");
         let decoded = Message::decode(&wire).expect("round-trips");
         let offline = world
             .dns
@@ -80,6 +91,7 @@ proptest! {
         let served = answer(&world.dns, &wire).expect("answered");
         prop_assert_eq!(served.wire, offline);
         prop_assert_eq!(served.question.map(|(qid, _)| qid), Some(id));
+        prop_assert_eq!(served.udp_limit, query.udp_limit());
     }
 }
 

@@ -89,6 +89,8 @@ fn mixed_load_matches_offline_rcodes_and_ingest() {
     assert!(responses <= report.queries + report.retransmits);
     assert!(snap.histogram_total("serve_request_latency_ns").count() > 0);
     assert_eq!(snap.counter_total("serve_handler_panics_total"), 0);
+    // The era world's answers all fit 512 octets: nothing is truncated.
+    assert_eq!(snap.counter_total("serve_udp_truncated_total"), 0);
 }
 
 #[test]
