@@ -136,36 +136,59 @@ fn authoritative_nxdomain_sets_aa_and_carries_capped_soa() {
     );
 }
 
+/// Resolves `qname`/`qtype` recursively over the wire at `now` — with an
+/// EDNS OPT if `edns` — and returns the raw response. An EDNS query must
+/// get an OPT back, as from the authoritative servers.
+fn resolve_wire(
+    dns: &SimDns,
+    resolver: &mut Resolver,
+    qname: &str,
+    qtype: RType,
+    now: SimTime,
+    edns: bool,
+) -> Vec<u8> {
+    let mut query = Message::query(0x55AA, n(qname), qtype);
+    if edns {
+        query.set_edns(Edns::default());
+    }
+    let wire = resolver
+        .resolve_message(dns, &query.encode().unwrap(), now)
+        .unwrap();
+    let echoed = Message::decode(&wire).unwrap().edns();
+    assert_eq!(echoed.is_some(), edns, "recursive {qname}: OPT echo");
+    wire
+}
+
 #[test]
 fn recursive_nxdomain_responses_are_strictly_clean() {
     let dns = world();
-    let mut resolver = Resolver::new(ResolverConfig::default());
     let analyzer = Analyzer::new();
     let t = SimTime::ERA_START;
 
-    // Fresh NXDOMAIN, then the cached replay one second later: both must
-    // carry the SOA and pass strict mode.
-    for dt in [0, 1] {
-        let query = Message::query(0x55AA, n("nope.com"), RType::A);
-        let wire = resolver
-            .resolve_message(&dns, &query.encode().unwrap(), t + SimDuration::seconds(dt))
-            .unwrap();
-        let report = analyzer.analyze_bytes(&wire).unwrap();
-        assert!(
-            report.is_clean(),
-            "recursive NXDOMAIN (dt={dt}): {}",
-            report.to_text()
-        );
-        let resp = Message::decode(&wire).unwrap();
-        assert!(resp.is_nxdomain());
-        assert!(resp.header.ra, "recursive responses advertise recursion");
-        assert_eq!(
-            resp.authorities
-                .iter()
-                .filter(|r| r.rtype() == RType::Soa)
-                .count(),
-            1
-        );
+    // Fresh NXDOMAIN, then the cached replay one second later, with and
+    // without EDNS: all must carry the SOA and pass strict mode.
+    for edns in [false, true] {
+        let mut resolver = Resolver::new(ResolverConfig::default());
+        for dt in [0, 1] {
+            let now = t + SimDuration::seconds(dt);
+            let wire = resolve_wire(&dns, &mut resolver, "nope.com", RType::A, now, edns);
+            let report = analyzer.analyze_bytes(&wire).unwrap();
+            assert!(
+                report.is_clean(),
+                "recursive NXDOMAIN (dt={dt}, edns={edns}): {}",
+                report.to_text()
+            );
+            let resp = Message::decode(&wire).unwrap();
+            assert!(resp.is_nxdomain());
+            assert!(resp.header.ra, "recursive responses advertise recursion");
+            assert_eq!(
+                resp.authorities
+                    .iter()
+                    .filter(|r| r.rtype() == RType::Soa)
+                    .count(),
+                1
+            );
+        }
     }
 }
 
@@ -178,12 +201,16 @@ fn recursive_positive_and_nodata_responses_are_strictly_clean() {
         ("www.example.com", RType::A),
         ("www.example.com", RType::Mx),
     ] {
-        let query = Message::query(1, n(qname), qtype);
-        let wire = resolver
-            .resolve_message(&dns, &query.encode().unwrap(), SimTime::ERA_START)
-            .unwrap();
-        let report = analyzer.analyze_bytes(&wire).unwrap();
-        assert!(report.is_clean(), "{qname}/{qtype}: {}", report.to_text());
+        for edns in [false, true] {
+            let now = SimTime::ERA_START;
+            let wire = resolve_wire(&dns, &mut resolver, qname, qtype, now, edns);
+            let report = analyzer.analyze_bytes(&wire).unwrap();
+            assert!(
+                report.is_clean(),
+                "{qname}/{qtype} edns={edns}: {}",
+                report.to_text()
+            );
+        }
     }
 }
 

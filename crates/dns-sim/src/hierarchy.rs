@@ -12,6 +12,16 @@ use crate::resolver::clamp_negative_soa;
 use crate::time::SimTime;
 use crate::zone::{Zone, ZoneAnswer};
 
+/// The simulation's one EDNS rule (RFC 6891 §6.1.1), shared by the
+/// authoritative servers and the recursive resolver: a response to a query
+/// that carried an OPT carries one back (version 0, payload
+/// [`nxd_dns_wire::DEFAULT_EDNS_PAYLOAD`]); a query without one gets none.
+pub(crate) fn echo_edns(query: &Message, response: &mut Message) {
+    if query.edns().is_some() {
+        response.set_edns(Edns::default());
+    }
+}
+
 /// Which server a query is sent to.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ServerRef {
@@ -278,9 +288,7 @@ impl SimDns {
             None => Message::response(query, RCode::FormErr),
         };
         resp.header.ra = false;
-        if query.edns().is_some() {
-            resp.set_edns(Edns::default());
-        }
+        echo_edns(query, &mut resp);
         resp.encode()
     }
 

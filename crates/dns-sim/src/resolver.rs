@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use nxd_dns_wire::{Message, Name, RCode, RData, RType, Record};
 use nxd_telemetry::{Counter, Registry};
 
-use crate::hierarchy::{ServerRef, SimDns};
+use crate::hierarchy::{echo_edns, ServerRef, SimDns};
 use crate::time::SimTime;
 use crate::zone::ZoneAnswer;
 
@@ -437,7 +437,8 @@ impl Resolver {
     }
 
     /// Wire-level entry point: decodes a query message, resolves it, and
-    /// encodes the response (exercising the full codec path).
+    /// encodes the response (exercising the full codec path). A query that
+    /// carried an OPT gets one back, as from the authoritative servers.
     pub fn resolve_message(
         &mut self,
         dns: &SimDns,
@@ -445,17 +446,17 @@ impl Resolver {
         now: SimTime,
     ) -> Result<Vec<u8>, nxd_dns_wire::WireError> {
         let query = Message::decode(query_wire)?;
-        let (qname, qtype) = match query.questions.first() {
-            Some(q) => (q.qname.clone(), q.qtype),
-            None => {
-                let resp = Message::response(&query, RCode::FormErr);
-                return resp.encode();
+        let mut resp = match query.questions.first() {
+            Some(q) => {
+                let resolution = self.resolve(dns, &q.qname, q.qtype, now);
+                let mut resp = Message::response(&query, resolution.rcode);
+                resp.answers = resolution.answers;
+                resp.authorities = resolution.authorities;
+                resp
             }
+            None => Message::response(&query, RCode::FormErr),
         };
-        let resolution = self.resolve(dns, &qname, qtype, now);
-        let mut resp = Message::response(&query, resolution.rcode);
-        resp.answers = resolution.answers;
-        resp.authorities = resolution.authorities;
+        echo_edns(&query, &mut resp);
         resp.encode()
     }
 
@@ -702,6 +703,24 @@ mod tests {
         let resp = Message::decode(&resp_wire).unwrap();
         assert_eq!(resp.header.id, 0x55AA);
         assert!(resp.is_nxdomain());
+    }
+
+    #[test]
+    fn wire_level_echoes_opt_to_edns_queries() {
+        use nxd_dns_wire::{Edns, EdnsMessage};
+        let (dns, mut r) = world();
+        let mut q = Message::query(0x0E0E, n("nope.com"), RType::A);
+        let classic = r
+            .resolve_message(&dns, &q.encode().unwrap(), SimTime::ERA_START)
+            .unwrap();
+        assert_eq!(Message::decode(&classic).unwrap().edns(), None);
+        q.set_edns(Edns::default());
+        let resp_wire = r
+            .resolve_message(&dns, &q.encode().unwrap(), SimTime::ERA_START)
+            .unwrap();
+        let resp = Message::decode(&resp_wire).unwrap();
+        assert!(resp.is_nxdomain());
+        assert_eq!(resp.edns(), Some(Edns::default()));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! offline answer. A UDP answer goes out through [`fit_udp`]: whole when it
 //! fits the query's advertised limit (512 octets, or its EDNS payload
 //! size), else as the RFC 6891 §7 TC=1 stub (header, question, OPT) that
-//! sends the client to TCP — counted in `serve_udp_truncated_total`.
+//! sends the client to TCP — counted in `serve_udp_truncated_total` and
+//! never sent to the sensor, which records the client's TCP retry instead.
 
 use std::borrow::Cow;
 use std::io;
@@ -318,13 +319,18 @@ fn handle_udp(ctx: &Ctx, data: &[u8], peer: SocketAddr) {
         ctx.metrics.dropped.inc();
         return;
     };
-    if let Cow::Owned(_) = wire {
+    let truncated = matches!(wire, Cow::Owned(_));
+    if truncated {
         ctx.metrics.udp_truncated.inc();
     }
     let _ = ctx.udp.send_to(&wire, peer);
     ctx.metrics.record_rcode(answered.rcode);
     ctx.metrics.latency.record(watch.elapsed_nanos());
-    observe(ctx, peer, &answered, SensorTransport::Udp);
+    // A TC stub carries no answer: the sensor records the client's TCP
+    // retry instead, so one question asked once stays one row.
+    if !truncated {
+        observe(ctx, peer, &answered, SensorTransport::Udp);
+    }
 }
 
 fn handle_tcp(ctx: &Ctx, mut stream: TcpStream, stop: &AtomicBool) {

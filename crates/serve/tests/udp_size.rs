@@ -3,7 +3,9 @@
 //! a TC=1 stub over UDP and the whole answer over TCP, an EDNS client that
 //! advertises room for it gets it whole with an OPT echoed, and one that
 //! advertises too little gets a TC=1 stub that still carries the OPT.
-//! `serve_udp_truncated_total` counts exactly the stubs received.
+//! `serve_udp_truncated_total` counts exactly the stubs received, and the
+//! sensor records only the answers: a stub followed by its TCP retry is
+//! one passive-DNS row.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -143,6 +145,18 @@ fn classic_client_falls_back_to_tcp_for_the_whole_answer() {
     assert!(!full.header.tc);
     assert_eq!(full.answers.len(), 8, "TCP fallback delivers everything");
     assert_eq!(live.truncated(), 1, "TCP answers are never truncated");
+    // The sensor saw one answer: the TCP one. The TC stub is not a row.
+    let Live {
+        telemetry, server, ..
+    } = live;
+    let served = server.shutdown();
+    assert_eq!(served.row_count(), 1, "one question, one passive-DNS row");
+    assert_eq!(
+        telemetry
+            .snapshot()
+            .counter_total("serve_sink_recorded_total"),
+        1
+    );
 }
 
 #[test]

@@ -2,10 +2,44 @@
 //! look-alike registrations an attacker would file. Used by the workload
 //! generator to seed squat registrations and by tests as the ground truth
 //! for the classifier.
+//!
+//! Every generator is a pure function of its target: the same target always
+//! yields the same list in the same (sorted) order. That is what lets
+//! [`CandidateTable`] build each popular target's list once and hand it
+//! out for every later draw, with no effect on what a seeded world contains.
 
 use std::collections::BTreeSet;
 
-use crate::tables::{qwerty_neighbors, CHAR_GLYPHS, COMBO_KEYWORDS, DIGRAPH_GLYPHS};
+use crate::tables::{
+    qwerty_neighbors, CHAR_GLYPHS, COMBO_KEYWORDS, DIGRAPH_GLYPHS, POPULAR_TARGETS,
+};
+
+/// One generator's candidate lists for every entry of [`POPULAR_TARGETS`],
+/// each generated on first use and kept for the table's lifetime.
+///
+/// The workload generators draw thousands of squat names from the same 40
+/// targets; regenerating a target's whole list to keep one entry dominated
+/// their cost.
+pub struct CandidateTable {
+    gen: fn(&str) -> Vec<String>,
+    lists: Vec<Option<Vec<String>>>,
+}
+
+impl CandidateTable {
+    /// An empty table for `gen`.
+    pub fn new(gen: fn(&str) -> Vec<String>) -> Self {
+        CandidateTable {
+            gen,
+            lists: vec![None; POPULAR_TARGETS.len()],
+        }
+    }
+
+    /// `gen(POPULAR_TARGETS[target])`, generated on the first call for
+    /// `target`. Panics if `target` is not an index into [`POPULAR_TARGETS`].
+    pub fn get(&mut self, target: usize) -> &[String] {
+        self.lists[target].get_or_insert_with(|| (self.gen)(POPULAR_TARGETS[target]))
+    }
+}
 
 /// Splits `brand.tld`; returns `None` for anything that is not a two-label
 /// registrable name.
@@ -249,6 +283,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn candidate_table_generates_each_target_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn counting(target: &str) -> Vec<String> {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            typosquats(target)
+        }
+
+        let mut table = CandidateTable::new(counting);
+        // A fixed LCG walk: 10,000 draws spread over all the targets.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..10_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let target = (x >> 33) as usize % POPULAR_TARGETS.len();
+            assert!(!table.get(target).is_empty());
+        }
+        assert!(CALLS.load(Ordering::Relaxed) <= POPULAR_TARGETS.len());
+        for (i, target) in POPULAR_TARGETS.iter().enumerate() {
+            assert_eq!(table.get(i), typosquats(target), "{target}");
+        }
+        assert_eq!(CALLS.load(Ordering::Relaxed), POPULAR_TARGETS.len());
     }
 
     #[test]

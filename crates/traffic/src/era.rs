@@ -25,7 +25,7 @@ use nxd_dga::all_families;
 use nxd_dns_sim::{Registry, RegistryConfig, SimTime};
 use nxd_dns_wire::{Name, RCode};
 use nxd_passive_dns::{NameId, PassiveDb};
-use nxd_squat::generate as squatgen;
+use nxd_squat::generate::{typosquats, CandidateTable};
 use nxd_squat::tables::POPULAR_TARGETS;
 use nxd_telemetry::Telemetry;
 use nxd_whois::{HistoricWhoisDb, SpanEnd, WhoisRecord};
@@ -401,6 +401,7 @@ fn build_name_specs(
     let mut specs: Vec<NameSpec> = Vec::with_capacity(config.nx_names + config.expired_panel);
     let mut seen = std::collections::HashSet::new();
     let families = all_families();
+    let mut typo_table = CandidateTable::new(typosquats);
 
     // nx_start density follows the Fig. 3 curve so later years carry more
     // first-seen names.
@@ -450,8 +451,7 @@ fn build_name_specs(
             fam.generate(rng.gen(), date, 1).pop().unwrap()
         } else if roll < 80 {
             // Typos of popular targets.
-            let target = POPULAR_TARGETS[rng.gen_range(0..POPULAR_TARGETS.len())];
-            let typos = squatgen::typosquats(target);
+            let typos = typo_table.get(rng.gen_range(0..POPULAR_TARGETS.len()));
             typos[rng.gen_range(0..typos.len())].clone()
         } else {
             // Junk: word mashups and misconfig-looking names.

@@ -7,7 +7,7 @@
 
 use nxd_blocklist::{Blocklist, ThreatCategory};
 use nxd_dga::all_families;
-use nxd_squat::generate as squatgen;
+use nxd_squat::generate::{self as squatgen, CandidateTable};
 use nxd_squat::tables::POPULAR_TARGETS;
 use nxd_whois::{HistoricWhoisDb, SpanEnd, WhoisRecord};
 use rand::rngs::StdRng;
@@ -86,12 +86,12 @@ pub fn generate(config: OriginConfig) -> OriginWorld {
                         rng: &mut StdRng,
                         domains: &mut Vec<ExpiredDomain>,
                         seen: &mut std::collections::HashSet<String>| {
+        let mut table = CandidateTable::new(gen);
         let mut planted = 0;
         let mut attempts = 0;
         while planted < count && attempts < count * 50 {
             attempts += 1;
-            let target = POPULAR_TARGETS[rng.gen_range(0..POPULAR_TARGETS.len())];
-            let candidates = gen(target);
+            let candidates = table.get(rng.gen_range(0..POPULAR_TARGETS.len()));
             if candidates.is_empty() {
                 continue;
             }
