@@ -5,7 +5,7 @@
 use std::net::Ipv4Addr;
 
 use nxd_analyzer::Analyzer;
-use nxd_dns_sim::{RegistryConfig, ServerRef, SimDns, SimTime};
+use nxd_dns_sim::{ServerRef, SimDns, SimTime};
 use nxd_dns_wire::{Message, Name, RCode, RData, RType, Record, Soa};
 use proptest::prelude::*;
 
@@ -103,7 +103,7 @@ proptest! {
         mx in any::<bool>(),
     ) {
         let start = SimTime::ERA_START;
-        let mut dns = SimDns::new(&["com"], RegistryConfig::default(), start);
+        let mut dns = SimDns::new(&["com"], start);
         let apex: Name = "anchor.com".parse().unwrap();
         dns.register_domain(&apex, "owner", "registrar", 1, Ipv4Addr::new(192, 0, 2, 80)).unwrap();
 

@@ -16,11 +16,7 @@ fn n(s: &str) -> Name {
 }
 
 fn world() -> SimDns {
-    let mut dns = SimDns::new(
-        &["com", "net"],
-        nxd_dns_sim::RegistryConfig::default(),
-        SimTime::ERA_START,
-    );
+    let mut dns = SimDns::new(&["com", "net"], SimTime::ERA_START);
     dns.register_domain(
         &n("example.com"),
         "alice",

@@ -152,10 +152,7 @@ fn bench_idn_and_stream(c: &mut Criterion) {
     let names = all_families()[0].generate(3, (2022, 1, 1), 500);
     g.bench_function("stream_detector/burst_500", |b| {
         b.iter(|| {
-            let mut d = nxd_dga::StreamDetector::new(
-                nxd_dga::StreamConfig::default(),
-                DgaDetector::default(),
-            );
+            let mut d = nxd_dga::StreamDetector::new(300, DgaDetector::default());
             for (i, n) in names.iter().enumerate() {
                 black_box(d.observe_nx(1, n, i as u64));
             }

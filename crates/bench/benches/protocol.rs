@@ -58,7 +58,7 @@ fn bench_http_parse(c: &mut Criterion) {
 
 fn resolver_world() -> (SimDns, Vec<Name>) {
     let start = SimTime::ERA_START;
-    let mut dns = SimDns::new(&["com"], Default::default(), start);
+    let mut dns = SimDns::new(&["com"], start);
     let mut names = Vec::new();
     for i in 0..64 {
         let name: Name = format!("domain-{i}.com").parse().unwrap();

@@ -75,7 +75,6 @@ fn main() {
     let load = LoadConfig {
         clients: if quick { 8 } else { 16 },
         tcp_permille: 150,
-        ..LoadConfig::default()
     };
     let report = loadgen::run(server.local_addr(), &world, &load, &telemetry)
         .expect("load fleet runs to completion");

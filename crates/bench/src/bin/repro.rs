@@ -1029,14 +1029,12 @@ fn detector_exp() {
 
 fn analyzer_exp() {
     use nxd_analyzer::Analyzer;
-    use nxd_dns_sim::{
-        RegistryConfig, Resolver, ResolverConfig, ServerRef, SimDns, SimDuration, SimTime,
-    };
+    use nxd_dns_sim::{Resolver, ResolverConfig, ServerRef, SimDns, SimDuration, SimTime};
     use nxd_dns_wire::{Message, Name, RType};
 
     heading("E-ANALYZER — RFC-conformance sweep of the simulated ecosystem");
     let start = SimTime::ERA_START;
-    let mut dns = SimDns::new(&["com", "net", "org"], RegistryConfig::default(), start);
+    let mut dns = SimDns::new(&["com", "net", "org"], start);
     let domains = ["alpha.com", "beta.net", "gamma.org"];
     for (i, d) in domains.iter().enumerate() {
         let name: Name = d.parse().expect("static name");

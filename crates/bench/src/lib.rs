@@ -13,7 +13,7 @@
 //! This library crate only hosts shared experiment drivers so the bin and
 //! the benches stay in sync.
 
-use nxd_core::{origin as origin_analysis, scale, security, XrefParams};
+use nxd_core::{origin as origin_analysis, security, XrefParams};
 use nxd_dns_wire::RCode;
 use nxd_passive_dns::PassiveDb;
 use nxd_telemetry::Telemetry;
@@ -101,23 +101,13 @@ pub fn origin_xref_params(population: usize) -> XrefParams {
     }
 }
 
-/// Full §6 security report.
-pub fn security_report(world: &honeypot_era::HoneypotWorld) -> nxd_core::SecurityReport {
-    security::run(world)
-}
-
-/// Instrumented variant of [`security_report`]: filter and categorizer
-/// counters plus the two stage spans land in `telemetry`.
+/// Full §6 security report; filter and categorizer counters plus the two
+/// stage spans land in `telemetry`.
 pub fn security_report_with(
     world: &honeypot_era::HoneypotWorld,
     telemetry: &Telemetry,
 ) -> nxd_core::SecurityReport {
     security::run_with(world, telemetry)
-}
-
-/// Headline scalars.
-pub fn scale_report(world: &era::EraWorld) -> nxd_core::ScaleReport {
-    scale::headline(&world.db)
 }
 
 /// §5.1 WHOIS join.

@@ -43,7 +43,7 @@ impl Default for BloomFilter {
 }
 
 impl BloomFilter {
-    /// A filter sized for `keys` entries at [`BITS_PER_KEY`] density.
+    /// A filter sized for `keys` entries at `BITS_PER_KEY` density.
     pub fn with_capacity(keys: usize) -> Self {
         let bits = (keys.max(1) * BITS_PER_KEY).next_power_of_two().max(1024);
         BloomFilter {
@@ -53,7 +53,7 @@ impl BloomFilter {
     }
 
     /// Total bits in the filter.
-    pub fn bit_len(&self) -> usize {
+    fn bit_len(&self) -> usize {
         self.words.len() * 64
     }
 

@@ -50,7 +50,8 @@ impl TokenBucket {
     }
 
     /// Takes `n` tokens atomically if all are available.
-    pub fn try_take_n(&mut self, n: u64, now_secs: u64) -> bool {
+    #[cfg(test)]
+    fn try_take_n(&mut self, n: u64, now_secs: u64) -> bool {
         self.refill(now_secs);
         if self.tokens >= n {
             self.tokens -= n;

@@ -5,10 +5,8 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use nxd_dga::{all_families, DgaDetector, StreamConfig, StreamDetector};
-use nxd_dns_sim::{
-    RegistryConfig, Resolver, ResolverConfig, SimDns, SimDuration, SimTime, Sinkhole,
-};
+use nxd_dga::{all_families, DgaDetector, StreamDetector};
+use nxd_dns_sim::{Resolver, ResolverConfig, SimDns, SimDuration, SimTime, Sinkhole};
 use nxd_dns_wire::{Name, RType};
 use nxd_passive_dns::{Coverage, Federation};
 use nxd_traffic::era::{EraWorld, CHINA_SENSORS, EUROPE_SENSORS, GLOBAL_SENSORS};
@@ -40,11 +38,7 @@ pub struct SinkholeReport {
 /// candidates and runs the stream detector over the redirected queries.
 pub fn sinkhole_takedown(bots: usize, clean: usize, seed: u64) -> SinkholeReport {
     let start = SimTime::from_ymd(2022, 9, 1);
-    let mut dns = SimDns::new(
-        &["com", "net", "org", "ru", "info"],
-        RegistryConfig::default(),
-        start,
-    );
+    let mut dns = SimDns::new(&["com", "net", "org", "ru", "info"], start);
     let mut resolver = Resolver::new(ResolverConfig::default());
     let mut sinkhole = Sinkhole::new(Ipv4Addr::new(198, 51, 100, 53));
 
@@ -100,14 +94,7 @@ pub fn sinkhole_takedown(bots: usize, clean: usize, seed: u64) -> SinkholeReport
     }
 
     // Analysis: feed the sinkhole log to the stream detector.
-    let mut stream = StreamDetector::new(
-        StreamConfig {
-            window_secs: 86_400,
-            min_burst: 10,
-            ..Default::default()
-        },
-        DgaDetector::default(),
-    );
+    let mut stream = StreamDetector::new(86_400, DgaDetector::default());
     let log = sinkhole.log().to_vec();
     for event in &log {
         stream.observe_nx(event.client, event.qname.as_str(), event.at.as_secs());

@@ -6,7 +6,7 @@
 //! reproduces that dynamic on the simulated registry and measures the gap
 //! distribution.
 
-use nxd_dns_sim::{EventKind, Registry, RegistryConfig, SimDuration, SimTime};
+use nxd_dns_sim::{EventKind, Registry, SimDuration, SimTime};
 use nxd_dns_wire::Name;
 
 /// Result of the market simulation.
@@ -39,7 +39,7 @@ pub fn reregistration_market(
     seed: u64,
 ) -> MarketReport {
     let start = SimTime::from_ymd(2020, 1, 1);
-    let mut registry = Registry::new(RegistryConfig::default(), start);
+    let mut registry = Registry::new(start);
 
     // Deterministic per-domain fate (splitmix-style; additive mixing so a
     // seed change re-rolls every fate rather than permuting them — a plain

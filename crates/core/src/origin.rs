@@ -174,14 +174,15 @@ where
 }
 
 /// The §4.2-style deterministic sampling of NXDomain names from the passive
-/// database (1/`n` by stable hash), as interned ids — resolve lazily with
-/// [`resolve_names`] instead of eagerly rendering strings.
+/// database (1/`n` by stable hash), as interned ids — resolve them lazily
+/// through the store's interner instead of eagerly rendering strings.
 pub fn sample_names(db: &PassiveDb, n: u64, salt: u64) -> Vec<NameId> {
     query::sample_nx_names(db, n, salt)
 }
 
 /// Lazily resolves sampled ids to borrowed name strings.
-pub fn resolve_names<'a>(db: &'a PassiveDb, ids: &'a [NameId]) -> impl Iterator<Item = &'a str> {
+#[cfg(test)]
+fn resolve_names<'a>(db: &'a PassiveDb, ids: &'a [NameId]) -> impl Iterator<Item = &'a str> {
     ids.iter().map(|&id| db.interner().resolve(id))
 }
 

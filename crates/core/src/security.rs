@@ -10,7 +10,7 @@ use nxd_honeypot::{
 };
 use nxd_httpsim::{classify_user_agent, UaClass};
 use nxd_telemetry::Telemetry;
-use nxd_traffic::botnet::{Continent, COUNTRY_MIX};
+use nxd_traffic::botnet::COUNTRY_MIX;
 use nxd_traffic::{DomainSpec, HoneypotWorld};
 
 /// One Table 1 row as re-derived by the pipeline.
@@ -277,31 +277,6 @@ fn masked_example(req: &nxd_httpsim::HttpRequest) -> String {
         parts.push(format!("{k}={masked}"));
     }
     format!("{}?{}", req.uri.path, parts.join("&"))
-}
-
-/// Whether the share of continent `label` among botnet requests exceeds
-/// `threshold` (test helper exposed for integration checks).
-pub fn continent_share(report: &BotnetReport, label: &str) -> f64 {
-    let total: u64 = report.continents.iter().map(|&(_, n)| n).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    report
-        .continents
-        .iter()
-        .find(|&&(l, _)| l == label)
-        .map(|&(_, n)| n as f64 / total as f64)
-        .unwrap_or(0.0)
-}
-
-/// Convenience: the four continent labels in Fig. 14.
-pub fn continent_labels() -> [&'static str; 4] {
-    [
-        Continent::Europe.label(),
-        Continent::Asia.label(),
-        Continent::America.label(),
-        Continent::Oceania.label(),
-    ]
 }
 
 #[cfg(test)]

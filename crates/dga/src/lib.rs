@@ -31,4 +31,4 @@ pub mod stream;
 
 pub use detector::{DgaDetector, Evaluation, Features, Weights};
 pub use families::{all_families, Date, DgaFamily};
-pub use stream::{ClientVerdict, StreamConfig, StreamDetector};
+pub use stream::{ClientVerdict, StreamDetector};

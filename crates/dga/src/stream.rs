@@ -27,30 +27,13 @@ pub struct ClientVerdict {
     pub distinct_fraction: f64,
 }
 
-/// Stream-detector configuration.
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Sliding-window length in seconds.
-    pub window_secs: u64,
-    /// Minimum NXDOMAIN responses in the window before judging.
-    pub min_burst: usize,
-    /// Mean per-name score above which a burst is DGA-like.
-    pub score_threshold: f64,
-    /// Minimum fraction of distinct names (repeated lookups of one dead
-    /// name are residual traffic, not a DGA).
-    pub min_distinct: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            window_secs: 300,
-            min_burst: 10,
-            score_threshold: 2.0,
-            min_distinct: 0.8,
-        }
-    }
-}
+/// Minimum NXDOMAIN responses in the window before judging.
+const MIN_BURST: usize = 10;
+/// Mean per-name score above which a burst is DGA-like.
+const SCORE_THRESHOLD: f64 = 2.0;
+/// Minimum fraction of distinct names (repeated lookups of one dead name
+/// are residual traffic, not a DGA).
+const MIN_DISTINCT: f64 = 0.8;
 
 /// Per-client sliding window of NXDOMAIN observations.
 #[derive(Debug, Default)]
@@ -62,15 +45,18 @@ struct ClientWindow {
 /// The stream detector. Clients are identified by an opaque `u64`
 /// (source address hash, subscriber id, …).
 pub struct StreamDetector {
-    config: StreamConfig,
+    /// Sliding-window length in seconds.
+    window_secs: u64,
     detector: DgaDetector,
     clients: HashMap<u64, ClientWindow>,
 }
 
 impl StreamDetector {
-    pub fn new(config: StreamConfig, detector: DgaDetector) -> Self {
+    /// A detector judging each client over a sliding window of
+    /// `window_secs` seconds.
+    pub fn new(window_secs: u64, detector: DgaDetector) -> Self {
         StreamDetector {
-            config,
+            window_secs,
             detector,
             clients: HashMap::new(),
         }
@@ -82,7 +68,7 @@ impl StreamDetector {
         let score = self.detector.score(qname);
         let window = self.clients.entry(client).or_default();
         window.events.push_back((now, qname.to_string(), score));
-        let horizon = now.saturating_sub(self.config.window_secs);
+        let horizon = now.saturating_sub(self.window_secs);
         while window.events.front().is_some_and(|&(t, _, _)| t < horizon) {
             window.events.pop_front();
         }
@@ -115,9 +101,8 @@ impl StreamDetector {
             .map(|(_, name, _)| name.as_str())
             .collect();
         let distinct_fraction = distinct.len() as f64 / n as f64;
-        let infected = n >= self.config.min_burst
-            && mean_score > self.config.score_threshold
-            && distinct_fraction >= self.config.min_distinct;
+        let infected =
+            n >= MIN_BURST && mean_score > SCORE_THRESHOLD && distinct_fraction >= MIN_DISTINCT;
         ClientVerdict {
             infected,
             nx_in_window: n,
@@ -150,7 +135,7 @@ mod tests {
     use crate::families::all_families;
 
     fn detector() -> StreamDetector {
-        StreamDetector::new(StreamConfig::default(), DgaDetector::default())
+        StreamDetector::new(300, DgaDetector::default())
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 
 use nxd_dns_wire::{Edns, EdnsMessage, Message, Name, RCode, RData, RType, Record, WireError};
 
-use crate::registry::{EventKind, Phase, Registry, RegistryConfig, RegistryError};
+use crate::registry::{EventKind, Phase, Registry, RegistryError};
 use crate::resolver::clamp_negative_soa;
 use crate::time::SimTime;
 use crate::zone::{Zone, ZoneAnswer};
@@ -48,7 +48,7 @@ pub struct SimDns {
 
 impl SimDns {
     /// Builds a hierarchy serving the given TLDs.
-    pub fn new(tlds: &[&str], config: RegistryConfig, start: SimTime) -> Self {
+    pub fn new(tlds: &[&str], start: SimTime) -> Self {
         let root_apex = Name::root();
         let soa = Zone::default_soa(
             &Name::from_labels(["root-servers"]).unwrap(),
@@ -75,7 +75,7 @@ impl SimDns {
             root,
             tlds: tld_zones,
             auth: HashMap::new(),
-            registry: Registry::new(config, start),
+            registry: Registry::new(start),
             hosting: HashMap::new(),
         }
     }
@@ -89,7 +89,6 @@ impl SimDns {
                 // plus a few used by the honeypot domain set
                 "moda", "work", "gq", "name",
             ],
-            RegistryConfig::default(),
             start,
         )
     }
@@ -98,16 +97,13 @@ impl SimDns {
         &self.registry
     }
 
-    pub fn registry_mut(&mut self) -> &mut Registry {
+    #[cfg(test)]
+    fn registry_mut(&mut self) -> &mut Registry {
         &mut self.registry
     }
 
     pub fn now(&self) -> SimTime {
         self.registry.now()
-    }
-
-    pub fn tld_names(&self) -> impl Iterator<Item = &str> {
-        self.tlds.keys().map(|s| s.as_str())
     }
 
     /// Every zone the hierarchy currently serves (root, TLDs, authoritative),
@@ -340,11 +336,7 @@ mod tests {
     }
 
     fn dns() -> SimDns {
-        let mut d = SimDns::new(
-            &["com", "net"],
-            RegistryConfig::default(),
-            SimTime::ERA_START,
-        );
+        let mut d = SimDns::new(&["com", "net"], SimTime::ERA_START);
         d.register_domain(
             &n("example.com"),
             "alice",

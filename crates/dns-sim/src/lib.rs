@@ -42,7 +42,7 @@ pub mod zonefile;
 
 pub use hierarchy::{ServerRef, SimDns, DEFAULT_NEGATIVE_TTL, DEFAULT_POSITIVE_TTL};
 pub use hijack::HijackPolicy;
-pub use registry::{Event, EventKind, Phase, Registry, RegistryConfig, RegistryError};
+pub use registry::{Event, EventKind, Phase, Registry, RegistryError};
 pub use resolver::{
     clamp_negative_soa, Resolution, ResolveEvent, Resolver, ResolverConfig, ResolverStats,
 };

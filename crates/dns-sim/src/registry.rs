@@ -22,34 +22,17 @@ use nxd_dns_wire::Name;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Registry timing configuration (defaults follow ICANN's ERRP).
-#[derive(Debug, Clone)]
-pub struct RegistryConfig {
-    /// Length of one registration term.
-    pub term: SimDuration,
-    /// Auto-renew grace period after expiry during which a plain renew works.
-    pub auto_renew_grace: SimDuration,
-    /// Redemption grace period (restoration fee applies).
-    pub redemption_grace: SimDuration,
-    /// Pending-delete window before release.
-    pub pending_delete: SimDuration,
-    /// Days before expiry at which the first and second notices are sent.
-    pub first_notice_days: u64,
-    pub second_notice_days: u64,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            term: SimDuration::days(365),
-            auto_renew_grace: SimDuration::days(45),
-            redemption_grace: SimDuration::days(30),
-            pending_delete: SimDuration::days(5),
-            first_notice_days: 30,
-            second_notice_days: 7,
-        }
-    }
-}
+/// Length of one registration term.
+const TERM: SimDuration = SimDuration::days(365);
+/// Auto-renew grace period after expiry, during which a plain renew works.
+const AUTO_RENEW_GRACE: SimDuration = SimDuration::days(45);
+/// Redemption grace period (restoration fee applies).
+const REDEMPTION_GRACE: SimDuration = SimDuration::days(30);
+/// Pending-delete window before release.
+const PENDING_DELETE: SimDuration = SimDuration::days(5);
+/// Days before expiry at which the first and second notices are sent.
+const FIRST_NOTICE_DAYS: u64 = 30;
+const SECOND_NOTICE_DAYS: u64 = 7;
 
 /// Lifecycle phase of a domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,7 +125,6 @@ pub enum RegistryError {
 /// to a new instant, which performs every due transition in order and appends
 /// the resulting [`Event`]s to the log.
 pub struct Registry {
-    config: RegistryConfig,
     domains: HashMap<Name, DomainState>,
     /// Transition schedule: time -> domains due at that time.
     schedule: BTreeMap<SimTime, Vec<Name>>,
@@ -153,9 +135,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    pub fn new(config: RegistryConfig, start: SimTime) -> Self {
+    pub fn new(start: SimTime) -> Self {
         Registry {
-            config,
             domains: HashMap::new(),
             schedule: BTreeMap::new(),
             watchlist: HashMap::new(),
@@ -166,10 +147,6 @@ impl Registry {
 
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    pub fn config(&self) -> &RegistryConfig {
-        &self.config
     }
 
     /// The current phase of a name ([`Phase::Available`] if never seen).
@@ -186,7 +163,8 @@ impl Registry {
     }
 
     /// Expiration time of a currently registered domain.
-    pub fn expires_at(&self, name: &Name) -> Option<SimTime> {
+    #[cfg(test)]
+    fn expires_at(&self, name: &Name) -> Option<SimTime> {
         self.domains
             .get(name)
             .filter(|d| d.phase == Phase::Registered)
@@ -211,8 +189,8 @@ impl Registry {
         if phase != Phase::Available {
             return Err(RegistryError::NotAvailable(phase));
         }
-        let expires = self.now + SimDuration::seconds(self.config.term.as_seconds() * years as u64);
-        let first_notice = expires - SimDuration::days(self.config.first_notice_days);
+        let expires = self.now + SimDuration::seconds(TERM.as_seconds() * years as u64);
+        let first_notice = expires - SimDuration::days(FIRST_NOTICE_DAYS);
         let state = DomainState {
             phase: Phase::Registered,
             owner: owner.to_string(),
@@ -244,8 +222,8 @@ impl Registry {
         if years == 0 {
             return Err(RegistryError::BadTerm);
         }
-        let term = self.config.term.as_seconds() * years as u64;
-        let (now, first_notice_days) = (self.now, self.config.first_notice_days);
+        let term = TERM.as_seconds() * years as u64;
+        let now = self.now;
         let state = self.domains.get_mut(name).ok_or(RegistryError::Unknown)?;
         match state.phase {
             Phase::Registered | Phase::AutoRenewGrace => {
@@ -253,7 +231,7 @@ impl Registry {
                 state.expires_at = base + SimDuration::seconds(term);
                 state.phase = Phase::Registered;
                 state.notices_sent = 0;
-                state.next_transition = state.expires_at - SimDuration::days(first_notice_days);
+                state.next_transition = state.expires_at - SimDuration::days(FIRST_NOTICE_DAYS);
                 let expires = state.expires_at;
                 let due = state.next_transition;
                 self.schedule.entry(due).or_default().push(name.clone());
@@ -274,15 +252,15 @@ impl Registry {
     /// Restores a domain from the redemption grace period (restoration fee
     /// abstracted away), re-registering for one term from now.
     pub fn restore(&mut self, name: &Name) -> Result<SimTime, RegistryError> {
-        let term = self.config.term.as_seconds();
-        let (now, first_notice_days) = (self.now, self.config.first_notice_days);
+        let term = TERM.as_seconds();
+        let now = self.now;
         let state = self.domains.get_mut(name).ok_or(RegistryError::Unknown)?;
         match state.phase {
             Phase::RedemptionGrace => {
                 state.phase = Phase::Registered;
                 state.expires_at = now + SimDuration::seconds(term);
                 state.notices_sent = 0;
-                state.next_transition = state.expires_at - SimDuration::days(first_notice_days);
+                state.next_transition = state.expires_at - SimDuration::days(FIRST_NOTICE_DAYS);
                 let expires = state.expires_at;
                 let due = state.next_transition;
                 self.schedule.entry(due).or_default().push(name.clone());
@@ -326,7 +304,6 @@ impl Registry {
     }
 
     fn transition(&mut self, name: &Name, at: SimTime) {
-        let cfg = self.config.clone();
         let Some(state) = self.domains.get_mut(name) else {
             return;
         };
@@ -338,7 +315,7 @@ impl Registry {
         match state.phase {
             Phase::Registered => {
                 // Notice sequence, then expiry.
-                let second_notice = state.expires_at - SimDuration::days(cfg.second_notice_days);
+                let second_notice = state.expires_at - SimDuration::days(SECOND_NOTICE_DAYS);
                 if state.notices_sent == 0 && at < state.expires_at {
                     state.notices_sent = 1;
                     state.next_transition = second_notice.max(at);
@@ -363,7 +340,7 @@ impl Registry {
                     // Expiration instant: stop resolving, enter auto-renew
                     // grace, send the post-expiry notice.
                     state.phase = Phase::AutoRenewGrace;
-                    state.next_transition = at + cfg.auto_renew_grace;
+                    state.next_transition = at + AUTO_RENEW_GRACE;
                     let due = state.next_transition;
                     self.schedule.entry(due).or_default().push(name.clone());
                     self.events.push(Event {
@@ -380,7 +357,7 @@ impl Registry {
             }
             Phase::AutoRenewGrace => {
                 state.phase = Phase::RedemptionGrace;
-                state.next_transition = at + cfg.redemption_grace;
+                state.next_transition = at + REDEMPTION_GRACE;
                 let due = state.next_transition;
                 self.schedule.entry(due).or_default().push(name.clone());
                 self.events.push(Event {
@@ -391,7 +368,7 @@ impl Registry {
             }
             Phase::RedemptionGrace => {
                 state.phase = Phase::PendingDelete;
-                state.next_transition = at + cfg.pending_delete;
+                state.next_transition = at + PENDING_DELETE;
                 let due = state.next_transition;
                 self.schedule.entry(due).or_default().push(name.clone());
                 self.events.push(Event {
@@ -435,7 +412,8 @@ impl Registry {
     }
 
     /// All currently registered (resolving) domains.
-    pub fn registered_domains(&self) -> impl Iterator<Item = &Name> {
+    #[cfg(test)]
+    fn registered_domains(&self) -> impl Iterator<Item = &Name> {
         self.domains
             .iter()
             .filter(|(_, s)| s.phase == Phase::Registered)
@@ -465,7 +443,7 @@ mod tests {
     }
 
     fn registry() -> Registry {
-        Registry::new(RegistryConfig::default(), SimTime::ERA_START)
+        Registry::new(SimTime::ERA_START)
     }
 
     fn kinds_for(reg: &Registry, name: &Name) -> Vec<String> {

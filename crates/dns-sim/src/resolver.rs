@@ -86,7 +86,7 @@ impl ResolverStats {
     /// * a cache hit never reaches upstream, so hits are bounded by queries;
     /// * each query yields at most one NXDOMAIN or SERVFAIL response, and
     ///   the two outcomes are disjoint.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&self) -> Result<(), String> {
         if self.negative_cache_hits > self.cache_hits {
             return Err(format!(
                 "negative_cache_hits {} > cache_hits {}",
@@ -168,18 +168,20 @@ struct NegativeEntry {
     soa: Record,
 }
 
+/// Hard cap applied to cached TTLs (positive and negative), seconds: one
+/// day, whatever the record says.
+const MAX_TTL: u32 = 86_400;
+/// Iteration guard against delegation loops.
+const MAX_STEPS: u32 = 16;
+
 /// Resolver configuration.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
-    /// Hard cap applied to cached TTLs (positive and negative), seconds.
-    pub max_ttl: u32,
     /// Disable the negative cache entirely (ablation knob for the
     /// query-amplification bench).
     pub negative_cache: bool,
     /// Disable the positive cache (ablation knob).
     pub positive_cache: bool,
-    /// Iteration guard against delegation loops.
-    pub max_steps: u32,
     /// Record a [`ResolveEvent`] per query for trace analysis.
     pub record_trace: bool,
 }
@@ -187,10 +189,8 @@ pub struct ResolverConfig {
 impl Default for ResolverConfig {
     fn default() -> Self {
         ResolverConfig {
-            max_ttl: 86_400,
             negative_cache: true,
             positive_cache: true,
-            max_steps: 16,
             record_trace: false,
         }
     }
@@ -266,7 +266,8 @@ impl Resolver {
     }
 
     /// Entries currently cached (positive, nxdomain, nodata).
-    pub fn cache_sizes(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn cache_sizes(&self) -> (usize, usize, usize) {
         (self.positive.len(), self.nxdomain.len(), self.nodata.len())
     }
 
@@ -370,7 +371,7 @@ impl Resolver {
         // Iterative resolution from the root.
         let mut server = ServerRef::Root;
         let mut upstream = 0u32;
-        for _ in 0..self.config.max_steps {
+        for _ in 0..MAX_STEPS {
             upstream += 1;
             match dns.query_server(&server, qname, qtype) {
                 ZoneAnswer::Answer(answers) => {
@@ -469,7 +470,7 @@ impl Resolver {
             .map(|r| r.ttl)
             .min()
             .unwrap_or(0)
-            .min(self.config.max_ttl);
+            .min(MAX_TTL);
         if ttl == 0 {
             return;
         }
@@ -501,7 +502,7 @@ impl Resolver {
             RData::Soa(s) => s.minimum.min(soa.ttl),
             _ => soa.ttl,
         }
-        .min(self.config.max_ttl);
+        .min(MAX_TTL);
         if ttl == 0 {
             return;
         }
@@ -525,7 +526,6 @@ impl Resolver {
 mod tests {
     use super::*;
     use crate::hierarchy::DEFAULT_NEGATIVE_TTL;
-    use crate::registry::RegistryConfig;
     use crate::time::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -534,7 +534,7 @@ mod tests {
     }
 
     fn world() -> (SimDns, Resolver) {
-        let mut d = SimDns::new(&["com"], RegistryConfig::default(), SimTime::ERA_START);
+        let mut d = SimDns::new(&["com"], SimTime::ERA_START);
         d.register_domain(
             &n("example.com"),
             "alice",
@@ -831,5 +831,26 @@ mod tests {
         assert_eq!(r.cache_sizes(), (1, 1, 1));
         r.flush();
         assert_eq!(r.cache_sizes(), (0, 0, 0));
+    }
+
+    #[test]
+    fn cached_ttl_is_capped_at_one_day() {
+        let (mut dns, mut r) = world();
+        let name = n("long.example.com");
+        let record = Record::new(
+            name.clone(),
+            172_800,
+            RData::A(Ipv4Addr::new(192, 0, 2, 82)),
+        );
+        assert!(dns.add_record(&n("example.com"), record));
+        let t = SimTime::ERA_START;
+        let first = r.resolve(&dns, &name, RType::A, t);
+        assert_eq!(first.answers[0].ttl, 172_800);
+        assert!(!first.from_cache);
+        let before = r.resolve(&dns, &name, RType::A, t + SimDuration::seconds(86_399));
+        assert!(before.from_cache, "served from cache inside the cap");
+        let after = r.resolve(&dns, &name, RType::A, t + SimDuration::seconds(86_401));
+        assert!(!after.from_cache, "refetched past the one-day cap");
+        assert_eq!(after.upstream_queries, 3);
     }
 }

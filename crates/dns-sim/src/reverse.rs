@@ -61,7 +61,8 @@ impl ReverseDns {
     }
 
     /// The PTR owner name for an address (`1.2.0.192.in-addr.arpa`).
-    pub fn ptr_name(ip: Ipv4Addr) -> Name {
+    #[cfg(test)]
+    fn ptr_name(ip: Ipv4Addr) -> Name {
         let o = ip.octets();
         format!("{}.{}.{}.{}.in-addr.arpa", o[3], o[2], o[1], o[0])
             .parse()

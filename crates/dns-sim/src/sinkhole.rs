@@ -61,7 +61,8 @@ impl Sinkhole {
         self.watchlist.len()
     }
 
-    pub fn is_watched(&self, name: &Name) -> bool {
+    #[cfg(test)]
+    fn is_watched(&self, name: &Name) -> bool {
         self.watchlist.contains(name)
     }
 
@@ -99,7 +100,8 @@ impl Sinkhole {
     }
 
     /// Drains the log (for periodic analysis batches).
-    pub fn drain_log(&mut self) -> Vec<SinkholeEvent> {
+    #[cfg(test)]
+    fn drain_log(&mut self) -> Vec<SinkholeEvent> {
         std::mem::take(&mut self.log)
     }
 }

@@ -32,7 +32,8 @@ impl SimDuration {
     pub const fn days(d: u64) -> Self {
         SimDuration(d * SECONDS_PER_DAY)
     }
-    pub fn as_days(self) -> u64 {
+    #[cfg(test)]
+    fn as_days(self) -> u64 {
         self.0 / SECONDS_PER_DAY
     }
     pub fn as_seconds(self) -> u64 {
@@ -54,7 +55,7 @@ impl SimTime {
     }
 
     /// The UTC civil date `(year, month, day)` containing this instant.
-    pub fn to_ymd(self) -> (i32, u32, u32) {
+    fn to_ymd(self) -> (i32, u32, u32) {
         civil_from_days((self.0 / SECONDS_PER_DAY) as i64)
     }
 
@@ -75,12 +76,14 @@ impl SimTime {
     }
 
     /// Start of the civil day containing this instant.
-    pub fn floor_day(self) -> SimTime {
+    #[cfg(test)]
+    fn floor_day(self) -> SimTime {
         SimTime(self.0 / SECONDS_PER_DAY * SECONDS_PER_DAY)
     }
 
     /// Whole days from `earlier` to `self` (saturating at zero).
-    pub fn days_since(self, earlier: SimTime) -> u64 {
+    #[cfg(test)]
+    fn days_since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0) / SECONDS_PER_DAY
     }
 

@@ -87,7 +87,8 @@ impl Zone {
     }
 
     /// Number of RRsets (including the apex SOA).
-    pub fn rrset_count(&self) -> usize {
+    #[cfg(test)]
+    fn rrset_count(&self) -> usize {
         self.records.len()
     }
 

@@ -55,7 +55,7 @@ impl Default for Edns {
 
 impl Edns {
     /// Builds the OPT record encoding this EDNS state.
-    pub fn to_record(&self) -> Record {
+    fn to_record(&self) -> Record {
         let mut rdata = Vec::new();
         for opt in &self.options {
             rdata.extend_from_slice(&opt.code.to_be_bytes());
@@ -75,7 +75,7 @@ impl Edns {
 
     /// Decodes an OPT record; `None` if the record is not OPT or its RDATA
     /// is malformed.
-    pub fn from_record(record: &Record) -> Option<Edns> {
+    fn from_record(record: &Record) -> Option<Edns> {
         let RData::Opt(raw) = &record.rdata else {
             return None;
         };

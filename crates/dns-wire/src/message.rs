@@ -40,7 +40,7 @@ impl Header {
     }
 
     /// A response header answering `query` with `rcode`.
-    pub fn response_to(query: &Header, rcode: RCode) -> Self {
+    fn response_to(query: &Header, rcode: RCode) -> Self {
         Header {
             id: query.id,
             qr: true,

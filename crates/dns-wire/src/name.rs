@@ -188,7 +188,7 @@ impl Name {
 
     /// Length of the RFC 1035 wire encoding (length-prefixed labels plus the
     /// terminating zero octet), without compression.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         if self.is_root() {
             1
         } else {

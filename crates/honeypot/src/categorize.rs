@@ -75,7 +75,7 @@ impl TrafficCategory {
 
     /// Machine-friendly identifier, used as the `category` label value on
     /// `honeypot_categorized_total`.
-    pub fn slug(self) -> &'static str {
+    fn slug(self) -> &'static str {
         match self {
             TrafficCategory::SearchEngineCrawler => "search_engine_crawler",
             TrafficCategory::FileGrabber => "file_grabber",

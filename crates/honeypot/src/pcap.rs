@@ -47,7 +47,8 @@ impl PcapWriter {
     }
 
     /// Number of packets written so far.
-    pub fn packet_count(&self) -> u32 {
+    #[cfg(test)]
+    fn packet_count(&self) -> u32 {
         self.packets
     }
 

@@ -19,7 +19,8 @@ pub struct TrafficRecorder {
 
 impl TrafficRecorder {
     /// A recorder for a server hosting `domain`.
-    pub fn for_domain(domain: &str) -> Self {
+    #[cfg(test)]
+    fn for_domain(domain: &str) -> Self {
         TrafficRecorder {
             domain: Some(domain.to_string()),
             packets: Vec::new(),
@@ -28,15 +29,14 @@ impl TrafficRecorder {
     }
 
     /// A recorder for a bare cloud instance (§6.1's no-hosting phase).
-    pub fn no_hosting() -> Self {
+    #[cfg(test)]
+    fn no_hosting() -> Self {
         TrafficRecorder::default()
     }
 
     /// Counts recorded packets on `registry` as
     /// `honeypot_recorded_packets_total{phase=...}` (phase: the hosted
-    /// domain, or `no-hosting`), carrying the current count over. The
-    /// counter is cumulative — unlike [`TrafficRecorder::take_packets`], it
-    /// is not reset by draining.
+    /// domain, or `no-hosting`), carrying the current count over.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         let phase = self.domain.as_deref().unwrap_or("no-hosting");
         let next = registry.counter_with("honeypot_recorded_packets_total", &[("phase", phase)]);
@@ -63,12 +63,14 @@ impl TrafficRecorder {
     }
 
     /// Distinct source addresses seen (the no-hosting exclusion list).
-    pub fn source_ips(&self) -> std::collections::HashSet<Ipv4Addr> {
+    #[cfg(test)]
+    fn source_ips(&self) -> std::collections::HashSet<Ipv4Addr> {
         self.packets.iter().map(|p| p.src_ip).collect()
     }
 
     /// Packets per destination port, descending (Fig. 10).
-    pub fn port_histogram(&self) -> Vec<(u16, u64)> {
+    #[cfg(test)]
+    fn port_histogram(&self) -> Vec<(u16, u64)> {
         let mut counts: HashMap<u16, u64> = HashMap::new();
         for p in &self.packets {
             *counts.entry(p.dst_port).or_insert(0) += 1;
@@ -92,7 +94,8 @@ impl TrafficRecorder {
     }
 
     /// Drains recorded packets (used when feeding the filter pipeline).
-    pub fn take_packets(&mut self) -> Vec<Packet> {
+    #[cfg(test)]
+    fn take_packets(&mut self) -> Vec<Packet> {
         std::mem::take(&mut self.packets)
     }
 }

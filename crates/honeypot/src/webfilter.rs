@@ -57,7 +57,7 @@ impl WebFilter {
     }
 
     /// Whether `url`'s host is a known search engine.
-    pub fn is_search_engine(url: &str) -> bool {
+    fn is_search_engine(url: &str) -> bool {
         let host = host_of(url);
         SEARCH_ENGINES
             .iter()

@@ -148,7 +148,8 @@ impl HttpRequest {
 
     /// Whether this arrived on a TLS port (the recorder model treats 443 as
     /// HTTPS after termination).
-    pub fn is_https(&self) -> bool {
+    #[cfg(test)]
+    fn is_https(&self) -> bool {
         self.dst_port == 443
     }
 

@@ -47,7 +47,7 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<ScrapeResult> {
 }
 
 /// Splits a raw `Connection: close` response into status and body.
-pub fn parse_response(raw: &str) -> Option<ScrapeResult> {
+fn parse_response(raw: &str) -> Option<ScrapeResult> {
     let (head, body) = raw.split_once("\r\n\r\n")?;
     let status_line = head.lines().next()?;
     let mut parts = status_line.split_whitespace();

@@ -64,7 +64,7 @@ pub fn read_request<R: BufRead>(reader: R) -> io::Result<Request> {
 }
 
 /// Parses `"GET /journal?since=42 HTTP/1.1"` into a [`Request`].
-pub fn parse_request_line(line: &str) -> io::Result<Request> {
+fn parse_request_line(line: &str) -> io::Result<Request> {
     let mut parts = line.split_whitespace();
     let method = parts
         .next()

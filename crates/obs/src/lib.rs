@@ -9,7 +9,7 @@
 //! where operators watch systems live rather than reading post-hoc dumps.
 //! Batch experiments gain that visibility through `repro --serve <addr>`.
 //! The live `nxd-serve` DNS front-end runs on this crate's
-//! [`Service`](service::Service) thread skeleton, the same acceptor,
+//! [`Service`] thread skeleton, the same acceptor,
 //! worker pool and shutdown protocol as [`ObsServer`].
 //!
 //! | Endpoint | Content | Semantics |

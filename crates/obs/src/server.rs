@@ -94,7 +94,7 @@ impl ObsServer {
     }
 
     /// Current `/readyz` state.
-    pub fn is_ready(&self) -> bool {
+    fn is_ready(&self) -> bool {
         self.shared.ready.load(Ordering::SeqCst)
     }
 

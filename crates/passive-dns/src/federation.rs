@@ -67,7 +67,8 @@ impl Federation {
         f
     }
 
-    pub fn provider_count(&self) -> usize {
+    #[cfg(test)]
+    fn provider_count(&self) -> usize {
         self.providers.len()
     }
 

@@ -14,7 +14,7 @@
 //! * name-level results (distinct counts, samples, lifespan name counts)
 //!   merge by disjoint union — no name is counted twice.
 //!
-//! [`ShardedStore::par_map_indexed`] runs one scoped worker per shard and
+//! [`ShardedStore::par_map`] runs one scoped worker per shard and
 //! reassembles partials in shard order; every merge is commutative and
 //! associative, so results are bit-identical to the serial engine for any
 //! shard count — property-tested in `tests/prop_shard.rs`.
@@ -55,7 +55,7 @@ use crate::summary::ScaleSummary;
 const ROWS_PER_SHARD_TARGET: usize = 262_144;
 
 /// Picks a shard count for a world of `rows` observations: one shard per
-/// [`ROWS_PER_SHARD_TARGET`] rows, clamped to `[1, max_parallelism]` (and
+/// `ROWS_PER_SHARD_TARGET` (262,144) rows, clamped to `[1, max_parallelism]` (and
 /// `max_parallelism` itself clamped to the 1..=8 range the parity suites
 /// exercise). Small worlds get 1 shard — the fan-out executor runs a single
 /// shard inline, so auto-sharded small inputs behave exactly like the
@@ -107,7 +107,8 @@ impl ShardedStore {
     }
 
     /// Re-partitions a serial database across [`auto_shard_count`] shards.
-    pub fn from_db_auto(db: &PassiveDb, max_parallelism: usize) -> Self {
+    #[cfg(test)]
+    fn from_db_auto(db: &PassiveDb, max_parallelism: usize) -> Self {
         Self::from_db(db, auto_shard_count(db.row_count(), max_parallelism))
     }
 
@@ -223,7 +224,7 @@ impl ShardedStore {
     /// [`ShardedStore::par_map`] with the shard index passed through, for
     /// closures that need per-shard side inputs (or per-shard telemetry
     /// labels).
-    pub fn par_map_indexed<'s, R, F>(&'s self, f: F) -> Vec<R>
+    fn par_map_indexed<'s, R, F>(&'s self, f: F) -> Vec<R>
     where
         F: Fn(usize, &'s PassiveDb) -> R + Sync,
         R: Send,

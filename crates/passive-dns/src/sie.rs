@@ -84,9 +84,7 @@ impl SieProducer {
     /// Submits a shard. Blocks if the channel is full (backpressure).
     ///
     /// Panics if the collector hung up — batch producers treat a vanished
-    /// sink as fatal. Streaming producers should prefer
-    /// [`SieProducer::try_submit`], which surfaces the condition as
-    /// [`SieError::Disconnected`] instead.
+    /// sink as fatal.
     pub fn submit(&self, shard: PassiveDb) {
         // A closed channel means the collector is gone; losing data silently
         // would corrupt experiments, so fail loudly.
@@ -96,7 +94,7 @@ impl SieProducer {
     /// Submits a shard, blocking on a full channel (backpressure), and
     /// returns [`SieError::Disconnected`] if the collector is gone instead
     /// of panicking the worker thread.
-    pub fn try_submit(&self, shard: PassiveDb) -> Result<(), SieError> {
+    fn try_submit(&self, shard: PassiveDb) -> Result<(), SieError> {
         self.tx
             .send(ShardBatch(shard))
             .map_err(|_| SieError::Disconnected)

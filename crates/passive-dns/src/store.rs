@@ -2,8 +2,8 @@
 //!
 //! Rows are pre-aggregated observations: `(name, day, sensor, rcode, count)`.
 //! Ingest appends into uncompressed tail columns (struct-of-arrays); every
-//! [`crate::block::BLOCK_ROWS`] rows the tail seals into a compressed,
-//! immutable [`Block`](crate::block::Block) with per-block zone maps and
+//! `BLOCK_ROWS` (65,536) rows the tail seals into a compressed,
+//! immutable block with per-block zone maps and
 //! exact pre-aggregated summaries — the same reason the paper mirrors
 //! Farsight into BigQuery, plus the columnar-compression trick BigQuery
 //! applies under the hood. A per-name aggregate index is maintained on
@@ -184,7 +184,7 @@ impl Default for PassiveDb {
 }
 
 impl PassiveDb {
-    /// A compressed store: seals a block every [`BLOCK_ROWS`] rows.
+    /// A compressed store: seals a block every `BLOCK_ROWS` (65,536) rows.
     pub fn new() -> Self {
         Self::with_block_rows(BLOCK_ROWS)
     }
@@ -260,7 +260,7 @@ impl PassiveDb {
         self.metrics = next;
     }
 
-    /// Attaches a flight recorder: every [`INGEST_HEARTBEAT_ROWS`] appended
+    /// Attaches a flight recorder: every `INGEST_HEARTBEAT_ROWS` appended
     /// rows emit one `store`-component heartbeat event (rows so far,
     /// distinct names), and every sealed block emits a `store` event with
     /// its compression ratio, so a live observer sees ingest advance long

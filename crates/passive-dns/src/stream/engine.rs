@@ -38,31 +38,30 @@ pub enum Admission {
     Late,
 }
 
+/// Space-saving capacity k (error bound N/k on the TLD table).
+const TOP_K: usize = 64;
+/// Distinct-sketch precision p (2^p registers).
+const SKETCH_PRECISION: u32 = 12;
+/// Salt for the distinct sketch's hashing.
+const SKETCH_SALT: u64 = 0x5EE_D15C;
+/// Salt for sampling membership: 0, the salt every batch-side §4.2 sample
+/// uses, so the streamed sample equals `query::sample_nx_name_strings(db,
+/// sample_n, 0)`.
+const SAMPLE_SALT: u64 = 0;
+
 /// Streaming engine parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     pub window: WindowConfig,
-    /// Space-saving capacity k (error bound N/k on the TLD table).
-    pub top_k: usize,
-    /// Distinct-sketch precision p (2^p registers, clamped to [4, 16]).
-    pub sketch_precision: u32,
-    /// Salt for the distinct sketch's hashing.
-    pub sketch_salt: u64,
     /// §4.2 sampling ratio (1-in-n) for the exact name sample.
     pub sample_n: u64,
-    /// Salt for sampling membership.
-    pub sample_salt: u64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             window: WindowConfig::default(),
-            top_k: 64,
-            sketch_precision: 12,
-            sketch_salt: 0x5EE_D15C,
             sample_n: 1_000,
-            sample_salt: 0,
         }
     }
 }
@@ -178,8 +177,8 @@ impl StreamCore {
             summary: ScaleSummary::default(),
             nx_seen: BTreeSet::new(),
             sample: BTreeSet::new(),
-            top_tlds: SpaceSaving::new(config.top_k),
-            distinct: DistinctSketch::new(config.sketch_precision, config.sketch_salt),
+            top_tlds: SpaceSaving::new(TOP_K),
+            distinct: DistinctSketch::new(SKETCH_PRECISION, SKETCH_SALT),
             metrics: StreamMetrics::default(),
             journal: None,
             offered: 0,
@@ -209,7 +208,7 @@ impl StreamCore {
             if count > 0 && !self.nx_seen.contains(name) {
                 self.nx_seen.insert(name.to_owned());
                 self.summary.observe_nx_name(tld);
-                if in_sample(name, self.config.sample_n, self.config.sample_salt) {
+                if in_sample(name, self.config.sample_n, SAMPLE_SALT) {
                     self.sample.insert(name.to_owned());
                 }
             }
@@ -258,7 +257,7 @@ impl StreamCore {
             nx_by_sensor: self.summary.nx_by_sensor(),
             tld_distribution: self.summary.tld_distribution(),
             sample_nx_names: self.sample.iter().cloned().collect(),
-            top_tlds: self.top_tlds.top(self.config.top_k),
+            top_tlds: self.top_tlds.top(TOP_K),
             topk_error_bound: self.top_tlds.error_bound(),
             distinct_nx_estimate: self.distinct.estimate(),
             distinct_standard_error: self.distinct.standard_error(),
@@ -446,7 +445,6 @@ mod tests {
     fn sample_respects_ratio_and_salt() {
         let e = StreamEngine::new(StreamConfig {
             sample_n: 100,
-            sample_salt: 7,
             ..Default::default()
         });
         let mut db = PassiveDb::new();
@@ -456,7 +454,10 @@ mod tests {
             db.record_str(&name, 16_000, 0, RCode::NxDomain, 1);
         }
         let streamed = e.snapshot().sample_nx_names;
-        assert_eq!(streamed, query::sample_nx_name_strings(&db, 100, 7));
+        assert_eq!(
+            streamed,
+            query::sample_nx_name_strings(&db, 100, SAMPLE_SALT)
+        );
         assert!(!streamed.is_empty());
         assert!(streamed.len() < 500);
     }
@@ -519,18 +520,15 @@ mod tests {
 
     #[test]
     fn approx_plane_memory_is_bounded() {
-        let e = StreamEngine::new(StreamConfig {
-            top_k: 16,
-            sketch_precision: 10,
-            ..Default::default()
-        });
+        let e = StreamEngine::new(StreamConfig::default());
         for i in 0..20_000u32 {
             e.offer_row(&format!("n{i}.tld{}", i % 97), 100, 0, RCode::NxDomain, 1);
         }
         let snap = e.snapshot();
-        // 2^10 registers + at most 16 short TLD counters.
+        // 2^12 registers + at most 64 short TLD counters, although the
+        // stream spans 97 TLDs.
         assert!(
-            snap.approx_heap_bytes < 1024 + 16 * 256,
+            snap.approx_heap_bytes < (1 << SKETCH_PRECISION) + TOP_K * 256,
             "approx plane grew: {} bytes",
             snap.approx_heap_bytes
         );

@@ -167,7 +167,8 @@ impl DistinctSketch {
     }
 
     /// Register count `m = 2^p`.
-    pub fn register_count(&self) -> usize {
+    #[cfg(test)]
+    fn register_count(&self) -> usize {
         self.registers.len()
     }
 

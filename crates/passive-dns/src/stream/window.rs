@@ -84,7 +84,8 @@ pub struct LateTally {
     pub by_rcode: BTreeMap<u8, u64>,
 }
 
-/// Watermark state plus open- and closed-window tallies.
+/// Watermark state plus open-window tallies; a closed window is handed
+/// to the caller once and only counted here.
 #[derive(Debug)]
 pub struct WindowState {
     config: WindowConfig,
@@ -92,8 +93,6 @@ pub struct WindowState {
     max_day: Option<u32>,
     /// Open tumbling windows, keyed by start day.
     open: BTreeMap<u32, WindowTally>,
-    /// Closed (final) windows, keyed by start day.
-    closed: BTreeMap<u32, WindowTally>,
     closed_count: u64,
 }
 
@@ -107,7 +106,6 @@ impl WindowState {
             config,
             max_day: None,
             open: BTreeMap::new(),
-            closed: BTreeMap::new(),
             closed_count: 0,
         }
     }
@@ -137,7 +135,7 @@ impl WindowState {
     }
 
     /// Whether a row with event day `day` would be late right now.
-    pub fn is_late(&self, day: u32) -> bool {
+    fn is_late(&self, day: u32) -> bool {
         matches!(self.watermark(), Some(wm) if day < wm)
     }
 
@@ -168,7 +166,6 @@ impl WindowState {
                     break;
                 }
                 self.open.remove(&start);
-                self.closed.insert(start, tally);
                 self.closed_count += 1;
                 closed_out.push(ClosedWindow {
                     start_day: start,
@@ -183,11 +180,6 @@ impl WindowState {
     /// Open windows in start-day order.
     pub fn open_windows(&self) -> impl Iterator<Item = (u32, WindowTally)> + '_ {
         self.open.iter().map(|(&s, &t)| (s, t))
-    }
-
-    /// Closed (final) windows in start-day order.
-    pub fn closed_windows(&self) -> impl Iterator<Item = (u32, WindowTally)> + '_ {
-        self.closed.iter().map(|(&s, &t)| (s, t))
     }
 
     /// Total windows closed so far.

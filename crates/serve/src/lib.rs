@@ -20,13 +20,13 @@
 //!   (over TCP, and over UDP when it fits the query's advertised limit) is
 //!   byte-identical to offline [`SimDns::respond`](nxd_dns_sim::SimDns::respond)
 //!   for the same question against the same server (the one
-//!   [`route`](server::route) picks). An oversized UDP answer goes out as a
+//!   [`route`] picks). An oversized UDP answer goes out as a
 //!   TC=1 stub ([`fit_udp`](nxd_dns_wire::fit_udp)) and the client retries
 //!   over TCP. Undecodable-but-headed packets get a
 //!   minimal FORMERR echoing the query id; headerless ones are dropped
 //!   (UDP) or end the connection (TCP).
 //! * **Ingest parity** — every answered query streams one
-//!   [`SensorEvent`](sink::SensorEvent) into the sensor channel. UDP events
+//!   [`SensorEvent`] into the sensor channel. UDP events
 //!   are deduplicated on (peer, query id, qname) so client retransmissions
 //!   cannot inflate the served database, making a served load run's
 //!   aggregates *exactly* equal to the offline batch ingest of the same

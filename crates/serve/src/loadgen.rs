@@ -21,19 +21,20 @@ use crate::client::{stamp_id, tcp_exchange, wire_rcode, StubResolver};
 use crate::frame::MAX_TCP_MESSAGE;
 use crate::world::ServeWorld;
 
-/// Fleet shape and socket behavior.
+/// Queries pipelined per TCP connection.
+const PIPELINE: usize = 8;
+/// Per-attempt response timeout.
+const TIMEOUT: Duration = Duration::from_secs(2);
+/// UDP retransmissions after a timeout.
+const RETRIES: u32 = 3;
+
+/// Fleet shape.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Concurrent stub resolvers.
     pub clients: usize,
     /// Per mille of clients that speak TCP (the rest are UDP stubs).
     pub tcp_permille: u32,
-    /// Queries pipelined per TCP connection.
-    pub pipeline: usize,
-    /// Per-attempt response timeout.
-    pub timeout: Duration,
-    /// UDP retransmissions after a timeout.
-    pub retries: u32,
 }
 
 impl Default for LoadConfig {
@@ -41,9 +42,6 @@ impl Default for LoadConfig {
         LoadConfig {
             clients: 16,
             tcp_permille: 150,
-            pipeline: 8,
-            timeout: Duration::from_secs(2),
-            retries: 3,
         }
     }
 }
@@ -115,9 +113,9 @@ pub fn run(
                     .map(Vec::as_slice)
                     .collect();
                 let report = if client < tcp_clients {
-                    run_tcp_client(server, &mine, config, latency)
+                    run_tcp_client(server, &mine, latency)
                 } else {
-                    run_udp_client(server, &mine, config, latency)
+                    run_udp_client(server, &mine, latency)
                 };
                 let _ = tx.send(report);
             });
@@ -157,17 +155,12 @@ fn count_response(report: &mut ClientReport, response: &[u8]) {
     *report.rcodes.entry(rcode).or_insert(0) += 1;
 }
 
-fn run_udp_client(
-    server: SocketAddr,
-    queries: &[&[u8]],
-    config: &LoadConfig,
-    latency: &Histogram,
-) -> ClientReport {
+fn run_udp_client(server: SocketAddr, queries: &[&[u8]], latency: &Histogram) -> ClientReport {
     let mut report = ClientReport {
         queries: queries.len() as u64,
         ..ClientReport::default()
     };
-    let Ok(resolver) = StubResolver::connect(server, config.timeout, config.retries) else {
+    let Ok(resolver) = StubResolver::connect(server, TIMEOUT, RETRIES) else {
         report.failures = report.queries;
         return report;
     };
@@ -190,18 +183,13 @@ fn run_udp_client(
     report
 }
 
-fn run_tcp_client(
-    server: SocketAddr,
-    queries: &[&[u8]],
-    config: &LoadConfig,
-    latency: &Histogram,
-) -> ClientReport {
+fn run_tcp_client(server: SocketAddr, queries: &[&[u8]], latency: &Histogram) -> ClientReport {
     let mut report = ClientReport {
         queries: queries.len() as u64,
         ..ClientReport::default()
     };
     let mut seq: u16 = 0;
-    for chunk in queries.chunks(config.pipeline.max(1)) {
+    for chunk in queries.chunks(PIPELINE) {
         let batch: Vec<Vec<u8>> = chunk
             .iter()
             .map(|query| {
@@ -212,7 +200,7 @@ fn run_tcp_client(
             })
             .collect();
         let watch = Stopwatch::start();
-        match tcp_exchange(server, &batch, config.timeout, MAX_TCP_MESSAGE) {
+        match tcp_exchange(server, &batch, TIMEOUT, MAX_TCP_MESSAGE) {
             Ok(responses) => {
                 // Amortize the batch over its queries so the histogram
                 // stays per-query.

@@ -9,8 +9,8 @@
 //! server answers again and the sink would see the event twice. To keep a
 //! served run's aggregates *exactly* equal to the offline batch ingest of
 //! the same query list, UDP events are deduplicated on
-//! (peer address, query id, qname) inside a [`RetransmitWindow`] of the
-//! last [`RETRANSMIT_WINDOW`] keys. Load clients stamp sequential 16-bit
+//! (peer address, query id, qname) inside a `RetransmitWindow` of the
+//! last `RETRANSMIT_WINDOW` keys. Load clients stamp sequential 16-bit
 //! ids, so a peer's key can recur as a *new* query only after 65,535 other
 //! keys from that peer; the window is half that, so a wrapped id has left
 //! it even when up to half of the peer's id cycle was lost or reordered on
@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nxd_dns_wire::RCode;
 use nxd_passive_dns::{NameId, Observation, PassiveDb, StreamEngine};
-use nxd_telemetry::Telemetry;
+use nxd_telemetry::{Counter, Telemetry};
 
 /// How the query arrived; decides whether the dedup filter applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +107,9 @@ impl RetransmitWindow {
 pub struct SensorChannel {
     tx: Option<Sender<SensorEvent>>,
     collector: Option<JoinHandle<PassiveDb>>,
+    /// `serve_sink_collector_panics_total`, bumped by `finish` before it
+    /// re-raises a collector panic.
+    collector_panics: Counter,
 }
 
 impl SensorChannel {
@@ -125,10 +128,18 @@ impl SensorChannel {
         stream: Option<StreamEngine>,
     ) -> Self {
         let (tx, rx) = bounded(SINK_DEPTH);
+        telemetry.registry.describe(
+            "serve_sink_collector_panics_total",
+            "Sensor collector threads that died; finish() re-raises the panic",
+        );
+        let collector_panics = telemetry
+            .registry
+            .counter("serve_sink_collector_panics_total");
         let collector = spawn_collector(move || collect(rx, day, sensor, &telemetry, stream));
         SensorChannel {
             tx: Some(tx),
             collector: Some(collector),
+            collector_panics,
         }
     }
 
@@ -141,14 +152,15 @@ impl SensorChannel {
     /// (join) every worker first, or this blocks until they exit.
     ///
     /// # Panics
-    /// Re-raises a collector panic: a dead collector must not pass for a
-    /// served database that recorded nothing.
+    /// Re-raises a collector panic, counted first: a dead collector must
+    /// not pass for a served database that recorded nothing.
     pub fn finish(mut self) -> PassiveDb {
         self.tx = None;
         match self.collector.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            Some(handle) => handle.join().unwrap_or_else(|payload| {
+                self.collector_panics.inc();
+                std::panic::resume_unwind(payload)
+            }),
             None => PassiveDb::default(),
         }
     }
@@ -316,14 +328,24 @@ mod tests {
 
     #[test]
     fn a_collector_panic_is_reraised_not_an_empty_database() {
+        let telemetry = Telemetry::wall();
         let (tx, _rx) = bounded(1);
         let channel = SensorChannel {
             tx: Some(tx),
             collector: Some(spawn_collector(|| panic!("collector died"))),
+            collector_panics: telemetry
+                .registry
+                .counter("serve_sink_collector_panics_total"),
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| channel.finish()));
         let payload = outcome.expect_err("finish must unwind when the collector panicked");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"collector died"));
+        assert_eq!(
+            telemetry
+                .snapshot()
+                .counter_total("serve_sink_collector_panics_total"),
+            1
+        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn mixed_load_matches_offline_rcodes_and_ingest() {
     let load = LoadConfig {
         clients: 8,
         tcp_permille: 250,
-        ..LoadConfig::default()
     };
     let report = loadgen::run(server.local_addr(), &world, &load, &telemetry).expect("fleet runs");
 

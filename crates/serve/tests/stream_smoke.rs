@@ -64,7 +64,6 @@ fn live_stream_aggregates_are_scrapeable_and_converge_to_offline() {
     let load = LoadConfig {
         clients: 8,
         tcp_permille: 250,
-        ..LoadConfig::default()
     };
     let done = AtomicBool::new(false);
     let report_slot: Mutex<Option<LoadReport>> = Mutex::new(None);

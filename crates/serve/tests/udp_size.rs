@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nxd_analyzer::{Analyzer, Report};
-use nxd_dns_sim::{RegistryConfig, SimDns, SimTime};
+use nxd_dns_sim::{SimDns, SimTime};
 use nxd_dns_wire::{Edns, EdnsMessage, Message, Name, RData, RType, Record};
 use nxd_serve::{route, tcp_exchange, DnsServer, ServeConfig, StubResolver, MAX_TCP_MESSAGE};
 use nxd_telemetry::Telemetry;
@@ -23,7 +23,7 @@ fn n(s: &str) -> Name {
 
 /// A world where `big.com` has a TXT RRset far larger than 512 bytes.
 fn world() -> Arc<SimDns> {
-    let mut dns = SimDns::new(&["com"], RegistryConfig::default(), SimTime::ERA_START);
+    let mut dns = SimDns::new(&["com"], SimTime::ERA_START);
     dns.register_domain(&n("big.com"), "o", "r", 1, Ipv4Addr::new(192, 0, 2, 1))
         .unwrap();
     for i in 0..8 {

@@ -11,8 +11,8 @@
 //! The hot path is [`SquatClassifier::classify_with`]: targets are indexed
 //! by TLD with precomputed byte/char lengths so each check screens targets
 //! by length and first byte before running an edit distance, the
-//! Damerau–Levenshtein call is the banded scratch-reusing
-//! [`damerau_levenshtein_bounded`], and every rewrite comparison (homoglyph,
+//! Damerau–Levenshtein call is the scratch-reusing distance-≤1 test
+//! [`within_one_edit`], and every rewrite comparison (homoglyph,
 //! dot, combo) works on borrowed slices instead of building candidate
 //! strings. A [`SquatScratch`] per worker thread makes a whole-population
 //! scan allocation-free except for the rare positive match.
@@ -153,10 +153,6 @@ impl SquatClassifier {
             by_tld.entry(t.tld.clone()).or_default().push(idx);
         }
         SquatClassifier { targets, by_tld }
-    }
-
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
     }
 
     /// Classifies a registrable domain. Returns `None` for exact targets and

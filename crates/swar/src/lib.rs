@@ -17,7 +17,7 @@
 //!
 //! All kernels work on 8-byte little-endian lanes (`u64::from_le_bytes`)
 //! and keep one boolean per byte in that byte's **high bit** (mask
-//! `0x80…80`, [`HI`] below):
+//! `0x80…80`, `HI` below):
 //!
 //! * *range check* `x' ≥ L` for 7-bit `x'`: `x' + (0x80 - L)` overflows
 //!   into bit 7 exactly when `x' ≥ L`, and the per-byte sum never carries

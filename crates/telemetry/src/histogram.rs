@@ -23,7 +23,7 @@ use std::sync::Arc;
 pub const BUCKET_COUNT: usize = 65;
 
 /// The bucket a value lands in.
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {

@@ -16,9 +16,9 @@
 //! * **Strictly monotonic `seq`** starting at 1, so `/journal?since=<seq>`
 //!   polling never re-reads or misses an un-evicted event:
 //!   [`Journal::since`] returns exactly the events newer than the cursor.
-//! * **Time via [`TimeSource`]**: wall clock in binaries, [`ManualClock`]
-//!   in tests — journal timestamps are as replayable as span timings
-//!   (`ManualClock` is re-exported from [`crate::span`]).
+//! * **Time via [`TimeSource`]**: wall clock in binaries,
+//!   [`ManualClock`](crate::ManualClock) in tests — journal timestamps are
+//!   as replayable as span timings.
 //!
 //! ```
 //! use nxd_telemetry::{EventLevel, Journal};

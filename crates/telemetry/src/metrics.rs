@@ -32,7 +32,7 @@ impl MetricId {
 
     /// Adds a label, keeping pairs sorted so equal label sets compare equal
     /// regardless of insertion order.
-    pub fn with_label(mut self, key: &str, value: &str) -> Self {
+    fn with_label(mut self, key: &str, value: &str) -> Self {
         let pair = (key.to_string(), value.to_string());
         let at = self.labels.partition_point(|p| *p < pair);
         self.labels.insert(at, pair);

@@ -101,7 +101,7 @@ impl Stopwatch {
     }
 
     /// Starts a stopwatch over an explicit time source.
-    pub fn with_source(time: Arc<dyn TimeSource>) -> Self {
+    fn with_source(time: Arc<dyn TimeSource>) -> Self {
         let start_ns = time.now_nanos();
         Stopwatch { time, start_ns }
     }
@@ -126,7 +126,8 @@ impl Stopwatch {
     }
 
     /// Restarts the measurement from the source's current reading.
-    pub fn restart(&mut self) {
+    #[cfg(test)]
+    fn restart(&mut self) {
         self.start_ns = self.time.now_nanos();
     }
 }

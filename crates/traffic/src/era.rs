@@ -22,9 +22,9 @@
 use std::collections::HashMap;
 
 use nxd_dga::all_families;
-use nxd_dns_sim::{Registry, RegistryConfig, SimTime};
+use nxd_dns_sim::{Registry, SimTime};
 use nxd_dns_wire::{Name, RCode};
-use nxd_passive_dns::{NameId, PassiveDb};
+use nxd_passive_dns::{NameId, Observation, PassiveDb};
 use nxd_squat::generate::{typosquats, CandidateTable};
 use nxd_squat::tables::POPULAR_TARGETS;
 use nxd_telemetry::Telemetry;
@@ -221,7 +221,7 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
     let span_registry = telemetry.span("era.registry");
     // ---- registry + WHOIS for the expired panel -------------------------
     // The registry's fixed one-year term sets (registration = expiry − 1y).
-    let mut registry = Registry::new(RegistryConfig::default(), SimTime(0));
+    let mut registry = Registry::new(SimTime(0));
     let mut whois = HistoricWhoisDb::new();
     let mut panel: Vec<usize> = (0..specs.len()).filter(|&i| specs[i].expired).collect();
     panel.sort_by_key(|&i| specs[i].registered_day);
@@ -278,7 +278,13 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
                 let count = poisson(&mut rng, pre_rate * year_mult(day));
                 if count > 0 {
                     let sensor = pick_sensor(&mut rng, &tld);
-                    db.record_str(&spec.name, day, sensor, RCode::NoError, count);
+                    db.append(Observation {
+                        name: id,
+                        day,
+                        sensor,
+                        rcode: RCode::NoError.to_u8(),
+                        count,
+                    });
                 }
             }
         }
@@ -297,7 +303,13 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
             let count = poisson(&mut rng, lambda);
             if count > 0 {
                 let sensor = pick_sensor(&mut rng, &tld);
-                db.record_str(&spec.name, day, sensor, RCode::NxDomain, count);
+                db.append(Observation {
+                    name: id,
+                    day,
+                    sensor,
+                    rcode: RCode::NxDomain.to_u8(),
+                    count,
+                });
             }
         }
         let done = spec_index + 1;
@@ -562,7 +574,7 @@ fn verify_consistency(
 
     // Layer 2: end-to-end through hierarchy + resolver.
     let tlds: Vec<&str> = TLD_MIX.iter().map(|&(t, _)| t).collect();
-    let mut dns = SimDns::new(&tlds, RegistryConfig::default(), SimTime(0));
+    let mut dns = SimDns::new(&tlds, SimTime(0));
     let mut regs: Vec<(SimTime, Name)> = registry
         .events()
         .iter()

@@ -21,16 +21,17 @@ use crate::actors::{crawler_ua, email_ua, in_app_ua, IpPool, MOBILE_UAS, PC_UAS,
 use crate::botnet;
 use crate::table1::{DomainSpec, IN_APP_MIX, TABLE1};
 
+/// Collection length in days: the paper's six-month run.
+const DAYS: u64 = 183;
+/// Experiment start, 2022-01-01T00:00:00Z.
+const START: SimTime = SimTime(1_640_995_200);
+
 /// Configuration for the honeypot-era generator.
 #[derive(Debug, Clone)]
 pub struct HoneypotConfig {
     pub seed: u64,
     /// Volume divisor applied to Table 1's cells (1 = paper scale).
     pub scale: u64,
-    /// Collection length in days (the paper ran 6 months).
-    pub days: u32,
-    /// Experiment start (defaults to 2022-01-01 in `Default`).
-    pub start: SimTime,
 }
 
 impl Default for HoneypotConfig {
@@ -38,8 +39,6 @@ impl Default for HoneypotConfig {
         HoneypotConfig {
             seed: 0x4E58_444F,
             scale: 100,
-            days: 183,
-            start: SimTime::from_ymd(2022, 1, 1),
         }
     }
 }
@@ -199,10 +198,8 @@ fn fnv(s: &str) -> u64 {
     h
 }
 
-fn stamp(rng: &mut StdRng, config: &HoneypotConfig) -> u64 {
-    config.start.as_secs()
-        + rng.gen_range(0..config.days as u64) * 86_400
-        + rng.gen_range(0..86_400u64)
+fn stamp(rng: &mut StdRng) -> u64 {
+    START.as_secs() + rng.gen_range(0..DAYS) * 86_400 + rng.gen_range(0..86_400u64)
 }
 
 fn http_port(rng: &mut StdRng) -> u16 {
@@ -225,7 +222,7 @@ fn gen_baseline(
     let n = (60_000 / config.scale).max(300) as usize;
     const PROBE_PORTS: [u16; 9] = [22, 23, 80, 443, 445, 3389, 8080, 5060, 21];
     for _ in 0..n {
-        let t = stamp(rng, config);
+        let t = stamp(rng);
         // 60% AWS monitor chatter, 40% internet scanners.
         if rng.gen_range(0..10) < 6 {
             out.push(Packet::raw(
@@ -261,7 +258,7 @@ fn gen_control(
     let mut out = Vec::new();
     let n = (20_000 / config.scale).max(200) as usize;
     for i in 0..n {
-        let t = stamp(rng, config);
+        let t = stamp(rng);
         let host = format!("control-{}.com", i % 10);
         match rng.gen_range(0..10) {
             // ACME certificate validation (the "Let's Encrypt consistently
@@ -326,24 +323,18 @@ fn gen_domain(
     let s = config.scale;
     let mut out = Vec::new();
 
-    gen_search_engine(rng, config, spec, scaled(spec.search_engine, s), &mut out);
-    gen_file_grabber(rng, config, spec, scaled(spec.file_grabber, s), &mut out);
-    gen_script_software(rng, config, spec, scaled(spec.script_software, s), &mut out);
-    gen_malicious_request(
-        rng,
-        config,
-        spec,
-        scaled(spec.malicious_request, s),
-        &mut out,
-    );
+    gen_search_engine(rng, spec, scaled(spec.search_engine, s), &mut out);
+    gen_file_grabber(rng, spec, scaled(spec.file_grabber, s), &mut out);
+    gen_script_software(rng, spec, scaled(spec.script_software, s), &mut out);
+    gen_malicious_request(rng, spec, scaled(spec.malicious_request, s), &mut out);
     gen_referrals(rng, config, spec, &mut out);
     gen_users(rng, config, spec, &mut out);
-    gen_others(rng, config, spec, scaled(spec.others, s), &mut out);
+    gen_others(rng, spec, scaled(spec.others, s), &mut out);
 
     // Establishment + scanning noise, removed by the Fig. 9 filter.
     let noise = (out.len() / 12).max(8);
     for _ in 0..noise {
-        let t = stamp(rng, config);
+        let t = stamp(rng);
         match rng.gen_range(0..4) {
             0 => out.push(Packet::http(
                 HttpRequest::get(&format!(
@@ -376,7 +367,7 @@ fn gen_domain(
     // A sprinkle of fresh (unfilterable) non-HTTP probes — the small
     // non-80/443 bars of Fig. 10a.
     for _ in 0..(out.len() / 200).max(2) {
-        let t = stamp(rng, config);
+        let t = stamp(rng);
         let ip = IpPool::Residential.draw(rng);
         let port = [21, 22, 25, 8443][rng.gen_range(0..4usize)];
         out.push(Packet::raw(ip, port, Transport::Tcp, t, b"stray"));
@@ -384,13 +375,7 @@ fn gen_domain(
     out
 }
 
-fn gen_search_engine(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    count: u64,
-    out: &mut Vec<Packet>,
-) {
+fn gen_search_engine(rng: &mut StdRng, spec: &DomainSpec, count: u64, out: &mut Vec<Packet>) {
     // Geographic correlation (§6.3): porno-komiksy (ex-Russia) is crawled
     // mostly by mail.ru; resheba (ex-USA) by Google/Bing.
     let mix: &[(&str, IpPool, u32)] = match spec.name {
@@ -437,21 +422,15 @@ fn gen_search_engine(
                 .with_header("User-Agent", crawler_ua(service))
                 .with_src(pool.draw(rng))
                 .with_port(http_port(rng))
-                .with_time(stamp(rng, config)),
+                .with_time(stamp(rng)),
         ));
     }
 }
 
-fn gen_file_grabber(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    count: u64,
-    out: &mut Vec<Packet>,
-) {
+fn gen_file_grabber(rng: &mut StdRng, spec: &DomainSpec, count: u64, out: &mut Vec<Packet>) {
     let email_heavy = spec.name == "conf-cdn.com";
     for _ in 0..count {
-        let t = stamp(rng, config);
+        let t = stamp(rng);
         // conf-cdn: 95.1% of grabs from e-mail providers (gmail > yahoo >
         // microsoft); elsewhere SEO file grabbers dominate.
         let roll = rng.gen_range(0..1000);
@@ -494,13 +473,7 @@ fn weighted6(rng: &mut StdRng) -> usize {
     }
 }
 
-fn gen_script_software(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    count: u64,
-    out: &mut Vec<Packet>,
-) {
+fn gen_script_software(rng: &mut StdRng, spec: &DomainSpec, count: u64, out: &mut Vec<Packet>) {
     if spec.name == "1x-sport-bk7.com" {
         // The status.json storm: many addresses, one browser User-Agent,
         // one file, requested in streams (≥ threshold per address) — the
@@ -518,7 +491,7 @@ fn gen_script_software(
                         .with_header("User-Agent", STORM_UA)
                         .with_src(src)
                         .with_port(http_port(rng))
-                        .with_time(stamp(rng, config)),
+                        .with_time(stamp(rng)),
                 ));
                 emitted += 1;
                 if emitted >= count {
@@ -551,21 +524,15 @@ fn gen_script_software(
                 .with_header("User-Agent", ua)
                 .with_src(IpPool::Residential.draw(rng))
                 .with_port(http_port(rng))
-                .with_time(stamp(rng, config)),
+                .with_time(stamp(rng)),
         ));
     }
 }
 
-fn gen_malicious_request(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    count: u64,
-    out: &mut Vec<Packet>,
-) {
+fn gen_malicious_request(rng: &mut StdRng, spec: &DomainSpec, count: u64, out: &mut Vec<Packet>) {
     if spec.name == "gpclick.com" {
         for _ in 0..count {
-            let t = stamp(rng, config);
+            let t = stamp(rng);
             out.push(Packet::http(botnet::gettask_request(rng, t)));
         }
         return;
@@ -586,7 +553,7 @@ fn gen_malicious_request(
             .with_header("Host", spec.name)
             .with_src(IpPool::Residential.draw(rng))
             .with_port(http_port(rng))
-            .with_time(stamp(rng, config));
+            .with_time(stamp(rng));
         // Half the probes use script UAs, half an unrecognizable agent.
         req = if rng.gen_range(0..2) == 0 {
             req.with_header("User-Agent", SCRIPT_UAS[rng.gen_range(0..SCRIPT_UAS.len())])
@@ -616,7 +583,7 @@ fn gen_referrals(
             SEARCH_REFERERS[rng.gen_range(0..SEARCH_REFERERS.len())],
             spec.name.split('.').next().unwrap()
         );
-        out.push(referral_request(rng, config, spec, &referer));
+        out.push(referral_request(rng, spec, &referer));
     }
     for i in 0..scaled(spec.referral_embedded, s) {
         let referer = format!(
@@ -624,7 +591,7 @@ fn gen_referrals(
             i % 16,
             fnv(spec.name) % 10_000 + (i % 16)
         );
-        out.push(referral_request(rng, config, spec, &referer));
+        out.push(referral_request(rng, spec, &referer));
     }
     for i in 0..scaled(spec.referral_malicious, s) {
         // Crafted referers: either unresolvable pages or real pages with no
@@ -637,16 +604,11 @@ fn gen_referrals(
         } else {
             format!("https://blog{}.example-unrelated.org/post", i % 8)
         };
-        out.push(referral_request(rng, config, spec, &referer));
+        out.push(referral_request(rng, spec, &referer));
     }
 }
 
-fn referral_request(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    referer: &str,
-) -> Packet {
+fn referral_request(rng: &mut StdRng, spec: &DomainSpec, referer: &str) -> Packet {
     let ua = if rng.gen_range(0..2) == 0 {
         PC_UAS[rng.gen_range(0..PC_UAS.len())]
     } else {
@@ -659,7 +621,7 @@ fn referral_request(
             .with_header("Referer", referer)
             .with_src(IpPool::Residential.draw(rng))
             .with_port(http_port(rng))
-            .with_time(stamp(rng, config)),
+            .with_time(stamp(rng)),
     )
 }
 
@@ -677,7 +639,7 @@ fn gen_users(rng: &mut StdRng, config: &HoneypotConfig, spec: &DomainSpec, out: 
                 .with_header("User-Agent", ua)
                 .with_src(IpPool::Residential.draw(rng))
                 .with_port(http_port(rng))
-                .with_time(stamp(rng, config)),
+                .with_time(stamp(rng)),
         ));
     }
     // In-app visits follow the global Fig. 13 mix.
@@ -698,18 +660,12 @@ fn gen_users(rng: &mut StdRng, config: &HoneypotConfig, spec: &DomainSpec, out: 
                 .with_header("User-Agent", in_app_ua(app))
                 .with_src(IpPool::Residential.draw(rng))
                 .with_port(http_port(rng))
-                .with_time(stamp(rng, config)),
+                .with_time(stamp(rng)),
         ));
     }
 }
 
-fn gen_others(
-    rng: &mut StdRng,
-    config: &HoneypotConfig,
-    spec: &DomainSpec,
-    count: u64,
-    out: &mut Vec<Packet>,
-) {
+fn gen_others(rng: &mut StdRng, spec: &DomainSpec, count: u64, out: &mut Vec<Packet>) {
     for _ in 0..count {
         // Anonymous connectivity probes: no User-Agent, bare "/".
         out.push(Packet::http(
@@ -717,7 +673,7 @@ fn gen_others(
                 .with_header("Host", spec.name)
                 .with_src(IpPool::Residential.draw(rng))
                 .with_port(http_port(rng))
-                .with_time(stamp(rng, config)),
+                .with_time(stamp(rng)),
         ));
     }
 }
@@ -779,8 +735,9 @@ mod tests {
     #[test]
     fn timestamps_inside_window() {
         let w = small_world();
-        let start = w.config.start.as_secs();
-        let end = start + w.config.days as u64 * 86_400;
+        assert_eq!(START, SimTime::from_ymd(2022, 1, 1));
+        let start = START.as_secs();
+        let end = start + DAYS * 86_400;
         for c in &w.captures {
             for p in &c.packets {
                 assert!((start..end).contains(&p.timestamp));

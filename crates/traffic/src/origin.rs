@@ -13,6 +13,13 @@ use nxd_whois::{HistoricWhoisDb, SpanEnd, WhoisRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// DGA-registered share of the population, in permille (paper: 2,770,650 /
+/// 91.5 M ≈ 30‰).
+const DGA_PERMILLE: usize = 30;
+/// Blocklisted share of the population, in permille (paper: 483,887 hits in
+/// a 20 M sample ≈ 24.2‰).
+const BLOCKLIST_PERMILLE: usize = 24;
+
 /// Origin-population configuration. Defaults reproduce the paper's numbers
 /// at 1/1,000 scale.
 #[derive(Debug, Clone)]
@@ -20,15 +27,9 @@ pub struct OriginConfig {
     pub seed: u64,
     /// Expired-domain population size (paper: 91,545,561; /1000 ≈ 91,546).
     pub expired_total: usize,
-    /// Fraction of the population that is DGA-registered, in permille
-    /// (paper: 2,770,650 / 91.5 M ≈ 30‰).
-    pub dga_permille: u32,
     /// Squat registrations by kind `(typo, combo, dot, bit, homo)`
     /// (paper: 45,175 / 38,900 / 6,090 / 313 / 126; /1000 with floors).
     pub squat_counts: (usize, usize, usize, usize, usize),
-    /// Blocklisted fraction of the population in permille (paper: 483,887
-    /// hits in a 20 M sample ≈ 24.2‰).
-    pub blocklist_permille: u32,
 }
 
 impl Default for OriginConfig {
@@ -36,9 +37,7 @@ impl Default for OriginConfig {
         OriginConfig {
             seed: 0x0219,
             expired_total: 91_546,
-            dga_permille: 30,
             squat_counts: (45, 39, 6, 2, 2),
-            blocklist_permille: 24,
         }
     }
 }
@@ -76,7 +75,7 @@ pub fn generate(config: OriginConfig) -> OriginWorld {
     let families = all_families();
     let words = nxd_dga::corpus::WORDS;
 
-    let dga_target = config.expired_total * config.dga_permille as usize / 1000;
+    let dga_target = config.expired_total * DGA_PERMILLE / 1000;
     let (n_typo, n_combo, n_dot, n_bit, n_homo) = config.squat_counts;
 
     // Planted squats, drawn from the generators against popular targets.
@@ -217,7 +216,7 @@ pub fn generate(config: OriginConfig) -> OriginWorld {
     // Blocklist entries: malicious history for a slice of the population,
     // weighted 79/9/8/4 across categories (Fig. 8).
     let mut blocklist = Blocklist::new();
-    let bl_target = config.expired_total * config.blocklist_permille as usize / 1000;
+    let bl_target = config.expired_total * BLOCKLIST_PERMILLE / 1000;
     let mut listed = 0;
     let mut idx = 0;
     while listed < bl_target && idx < domains.len() {

@@ -159,7 +159,6 @@ fn origin_population_with_many_squats_is_pinned() {
                 seed,
                 expired_total: 20_000,
                 squat_counts: (450, 390, 60, 20, 20),
-                ..OriginConfig::default()
             })
         }),
         [0xb4121b84a725beec, 0x9931b095ea1bb68d, 0xdef151dcf36a3787],

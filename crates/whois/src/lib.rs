@@ -96,7 +96,8 @@ impl HistoricWhoisDb {
     }
 
     /// Total spans stored (the "15.6 billion historic WHOIS records" axis).
-    pub fn total_records(&self) -> u64 {
+    #[cfg(test)]
+    fn total_records(&self) -> u64 {
         self.total
     }
 
@@ -145,7 +146,8 @@ impl HistoricWhoisDb {
     /// Domains whose latest span expired at least `min_gap_secs` before
     /// `now` — the §3.3 criterion "in non-existent status for at least six
     /// months".
-    pub fn expired_before(&self, now: u64, min_gap_secs: u64) -> Vec<&WhoisRecord> {
+    #[cfg(test)]
+    fn expired_before(&self, now: u64, min_gap_secs: u64) -> Vec<&WhoisRecord> {
         self.records
             .values()
             .filter_map(|spans| spans.last())
@@ -170,7 +172,8 @@ impl CrossCheckedWhois {
     }
 
     /// True only if *neither* database has ever seen the domain.
-    pub fn never_registered(&self, domain: &str) -> bool {
+    #[cfg(test)]
+    fn never_registered(&self, domain: &str) -> bool {
         !self.primary.has_history(domain) && !self.secondary.has_history(domain)
     }
 }

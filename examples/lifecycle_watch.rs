@@ -7,12 +7,12 @@
 //! cargo run --example lifecycle_watch
 //! ```
 
-use nxdomain::sim::{EventKind, Registry, RegistryConfig, SimDuration, SimTime};
+use nxdomain::sim::{EventKind, Registry, SimDuration, SimTime};
 use nxdomain::wire::Name;
 
 fn main() {
     let start = SimTime::from_ymd(2020, 6, 1);
-    let mut registry = Registry::new(RegistryConfig::default(), start);
+    let mut registry = Registry::new(start);
     let domain: Name = "beloved-project.com".parse().unwrap();
 
     registry

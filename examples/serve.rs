@@ -73,7 +73,6 @@ fn main() {
         &LoadConfig {
             clients: 8,
             tcp_permille: 200,
-            ..LoadConfig::default()
         },
         &telemetry,
     )

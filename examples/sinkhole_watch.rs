@@ -11,19 +11,13 @@
 
 use std::net::Ipv4Addr;
 
-use nxdomain::dga::{all_families, DgaDetector, StreamConfig, StreamDetector};
-use nxdomain::sim::{
-    RegistryConfig, Resolver, ResolverConfig, SimDns, SimDuration, SimTime, Sinkhole,
-};
+use nxdomain::dga::{all_families, DgaDetector, StreamDetector};
+use nxdomain::sim::{Resolver, ResolverConfig, SimDns, SimDuration, SimTime, Sinkhole};
 use nxdomain::wire::{Name, RType};
 
 fn main() {
     let start = SimTime::from_ymd(2022, 9, 1);
-    let dns = SimDns::new(
-        &["com", "net", "org", "ru", "info"],
-        RegistryConfig::default(),
-        start,
-    );
+    let dns = SimDns::new(&["com", "net", "org", "ru", "info"], start);
     let mut resolver = Resolver::new(ResolverConfig::default());
     let mut sinkhole = Sinkhole::new(Ipv4Addr::new(198, 51, 100, 53));
 
@@ -68,14 +62,7 @@ fn main() {
     }
 
     // Analysis server: stream detection over the sinkhole log.
-    let mut stream = StreamDetector::new(
-        StreamConfig {
-            min_burst: 10,
-            window_secs: 86_400,
-            ..Default::default()
-        },
-        DgaDetector::default(),
-    );
+    let mut stream = StreamDetector::new(86_400, DgaDetector::default());
     for event in sinkhole.log() {
         stream.observe_nx(event.client, event.qname.as_str(), event.at.as_secs());
     }

@@ -31,9 +31,7 @@ use std::net::Ipv4Addr;
 use nxdomain::dga::{all_families, DgaDetector};
 use nxdomain::honeypot::{Packet, PcapWriter};
 use nxdomain::http::HttpRequest;
-use nxdomain::sim::{
-    EventKind, Registry, RegistryConfig, Resolver, ResolverConfig, SimDns, SimDuration, SimTime,
-};
+use nxdomain::sim::{EventKind, Registry, Resolver, ResolverConfig, SimDns, SimDuration, SimTime};
 use nxdomain::squat::{generate, idn, SquatClassifier};
 use nxdomain::wire::{Name, RType};
 
@@ -264,7 +262,7 @@ fn cmd_lifecycle(args: &[&str]) -> i32 {
         }
     };
     let start = SimTime::from_ymd(2022, 1, 1);
-    let mut registry = Registry::new(RegistryConfig::default(), start);
+    let mut registry = Registry::new(start);
     if let Err(e) = registry.register(&name, "owner", "registrar", 1) {
         eprintln!("cannot register {name}: {e:?}");
         return 1;

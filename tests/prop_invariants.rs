@@ -5,9 +5,7 @@
 use std::net::Ipv4Addr;
 
 use nxdomain::passive::PassiveDb;
-use nxdomain::sim::{
-    Phase, Registry, RegistryConfig, Resolver, ResolverConfig, SimDns, SimDuration, SimTime,
-};
+use nxdomain::sim::{Phase, Registry, Resolver, ResolverConfig, SimDns, SimDuration, SimTime};
 use nxdomain::wire::{Name, RCode, RType};
 use proptest::prelude::*;
 
@@ -27,7 +25,7 @@ proptest! {
         step_days in 1u64..37,
     ) {
         let start = SimTime::ERA_START;
-        let mut registry = Registry::new(RegistryConfig::default(), start);
+        let mut registry = Registry::new(start);
         registry.register(&name, "owner", "registrar", 1).unwrap();
 
         let mut renewals = renew_at_days.clone();
@@ -85,7 +83,7 @@ proptest! {
         queries in proptest::collection::vec((0usize..6, 0u64..7200), 1..40),
     ) {
         let start = SimTime::ERA_START;
-        let mut dns = SimDns::new(&["com"], RegistryConfig::default(), start);
+        let mut dns = SimDns::new(&["com"], start);
         // Register every other name.
         for (i, n) in names.iter().enumerate() {
             if i % 2 == 0 {
