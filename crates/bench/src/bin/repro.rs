@@ -8,10 +8,10 @@
 //! cargo run -p nxd-bench --bin repro --release -- all --metrics-json m.json --trace-out t.json
 //! ```
 //!
-//! Experiments: scalars fig3 fig4 fig5 fig6 fig7 fig8 table1 fig10 fig12
-//! fig13 fig14 fig15 filter hijack selection detector sinkhole federation
-//! exposure market analyzer scale-parallel origin-parallel stream
-//! serve-load
+//! The experiments are the names in [`EXPERIMENTS`], run in the order
+//! given; `all` (or no name) runs every one in table order. An unknown name
+//! is rejected with the list of known ones and exit status 2 before any
+//! world is generated.
 //!
 //! Observability flags:
 //!
@@ -48,10 +48,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nxd_bench::{
-    era_world_with, honeypot_world_with, origin_db, origin_world, origin_xref_params,
-    security_report_with,
-};
+use nxd_bench::{era_world_with, honeypot_world_with, origin_db, origin_world, origin_xref_params};
 use nxd_blocklist::ThreatCategory;
 use nxd_core::report::{bar_series, commas, compare_line, pct, table};
 use nxd_core::{origin as origin_analysis, scale, selection};
@@ -64,17 +61,55 @@ use nxd_traffic::era::EraWorld;
 use nxd_traffic::origin::OriginWorld;
 use nxd_traffic::{HoneypotWorld, IN_APP_MIX, PAPER_GRAND_TOTAL, PAPER_TOTALS, TABLE1};
 
+/// An experiment's name and its driver.
+type Experiment = (&'static str, fn(&mut Worlds));
+
+/// Every experiment, in `all` order: the one list that both `all` and
+/// dispatch read.
+const EXPERIMENTS: [Experiment; 26] = [
+    ("scalars", scalars),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("table1", table1),
+    ("fig10", fig10),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("filter", filter_exp),
+    ("hijack", hijack),
+    ("selection", selection_exp),
+    ("detector", |_| detector_exp()),
+    ("sinkhole", |_| sinkhole_exp()),
+    ("federation", federation_exp),
+    ("exposure", exposure_exp),
+    ("market", |_| market_exp()),
+    ("analyzer", |_| analyzer_exp()),
+    ("scale-parallel", scale_parallel_exp),
+    ("origin-parallel", origin_parallel_exp),
+    ("stream", stream_exp),
+    ("serve-load", |w| serve_load_exp(w.telemetry)),
+];
+
+/// The lazily generated worlds the experiments share, plus the run-wide
+/// telemetry and `--shards` flag.
 struct Worlds<'a> {
-    telemetry: &'a Telemetry,
+    telemetry: &'a Arc<Telemetry>,
+    shards: Option<usize>,
     era: Option<EraWorld>,
     origin: Option<OriginWorld>,
     honeypot: Option<(HoneypotWorld, nxd_core::SecurityReport)>,
 }
 
 impl<'a> Worlds<'a> {
-    fn new(telemetry: &'a Telemetry) -> Self {
+    fn new(telemetry: &'a Arc<Telemetry>, shards: Option<usize>) -> Self {
         Worlds {
             telemetry,
+            shards,
             era: None,
             origin: None,
             honeypot: None,
@@ -102,7 +137,7 @@ impl<'a> Worlds<'a> {
         if self.honeypot.is_none() {
             eprintln!("[repro] generating honeypot world + running §6 pipeline ...");
             let world = honeypot_world_with(self.telemetry);
-            let report = security_report_with(&world, self.telemetry);
+            let report = nxd_core::security::run_with(&world, self.telemetry);
             self.honeypot = Some((world, report));
         }
         self.honeypot.as_ref().unwrap()
@@ -144,38 +179,23 @@ fn main() {
             _ => experiments.push(arg),
         }
     }
+    let mut runs: Vec<Experiment> = Vec::new();
+    for name in &experiments {
+        match EXPERIMENTS.iter().find(|(known, _)| known == name) {
+            Some(&entry) => runs.push(entry),
+            None if name == "all" => {}
+            None => {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|&(known, _)| known).collect();
+                eprintln!(
+                    "[repro] unknown experiment {name:?}; known: {} (or all)",
+                    known.join(" ")
+                );
+                std::process::exit(2);
+            }
+        }
+    }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "scalars",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table1",
-            "fig10",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "filter",
-            "hijack",
-            "selection",
-            "detector",
-            "sinkhole",
-            "federation",
-            "exposure",
-            "market",
-            "analyzer",
-            "scale-parallel",
-            "origin-parallel",
-            "stream",
-            "serve-load",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        runs = EXPERIMENTS.to_vec();
     }
     let telemetry = Arc::new(Telemetry::wall());
     let server = serve.map(|addr| {
@@ -212,41 +232,11 @@ fn main() {
         );
         (front, engine)
     });
-    let mut worlds = Worlds::new(&telemetry);
-    for exp in &experiments {
+    let mut worlds = Worlds::new(&telemetry, shards);
+    for (exp, run) in runs {
         let before = telemetry.snapshot();
         let span = telemetry.span(&format!("repro.{exp}"));
-        match exp.as_str() {
-            "scalars" | "scale" => scalars(&mut worlds),
-            "fig3" => fig3(&mut worlds),
-            "fig4" => fig4(&mut worlds),
-            "fig5" => fig5(&mut worlds),
-            "fig6" => fig6(&mut worlds),
-            "fig7" => fig7(&mut worlds),
-            "fig8" => fig8(&mut worlds),
-            "table1" => table1(&mut worlds),
-            "fig10" => fig10(&mut worlds),
-            "fig12" => fig12(&mut worlds),
-            "fig13" => fig13(&mut worlds),
-            "fig14" => fig14(&mut worlds),
-            "fig15" => fig15(&mut worlds),
-            "filter" => filter_exp(&mut worlds),
-            "hijack" => hijack(&mut worlds),
-            "selection" => selection_exp(&mut worlds),
-            "detector" => detector_exp(),
-            "sinkhole" => sinkhole_exp(),
-            "exposure" => exposure_exp(&mut worlds),
-            "market" => market_exp(),
-            "federation" => federation_exp(&mut worlds),
-            "analyzer" => analyzer_exp(),
-            "scale-parallel" => scale_parallel_exp(&mut worlds, shards),
-            "origin-parallel" => origin_parallel_exp(&mut worlds, shards),
-            "stream" => stream_exp(&mut worlds),
-            "serve-load" => serve_load_exp(&telemetry),
-            other => eprintln!(
-                "[repro] unknown experiment {other:?} (see --help text in the doc comment)"
-            ),
-        }
+        run(&mut worlds);
         drop(span);
         if let Some(server) = &server {
             // Readiness flips (once) when the first phase completes.
@@ -870,13 +860,15 @@ fn resolve_shards(flag: Option<usize>, rows: usize) -> (usize, &'static str) {
     clippy::disallowed_methods,
     reason = "wall-clock timings printed for the operator; results never depend on them"
 )]
-fn scale_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
+fn scale_parallel_exp(worlds: &mut Worlds) {
+    use nxd_passive_dns::query;
     use std::time::Instant;
 
+    let flag = worlds.shards;
     let era = worlds.era();
-    let (shards, picked) = resolve_shards(shards, era.db.row_count());
+    let (shards, picked) = resolve_shards(flag, era.db.row_count());
     heading(&format!(
-        "E-SCALE-PARALLEL — sharded executor vs serial engine ({shards} shards{picked})"
+        "E-SCALE-PARALLEL — sharded store vs query oracle ({shards} shards{picked})"
     ));
     let expiry_strings: HashMap<String, u32> = era
         .expiry_days
@@ -884,40 +876,55 @@ fn scale_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
         .map(|(&id, &day)| (era.db.interner().resolve(id).to_string(), day))
         .collect();
 
+    // Headline, Fig. 3, Fig. 4 top-20, Fig. 5 and Fig. 6, as `core::scale`
+    // parameterizes them.
     let t0 = Instant::now();
-    let serial = (
-        scale::headline(&era.db),
-        scale::fig3(&era.db),
-        scale::fig4(&era.db, 20),
-        scale::fig5(&era.db),
-        scale::fig6(&era.db, &era.expiry_days),
+    let db = &era.db;
+    let mut top20 = query::tld_distribution(db);
+    top20.truncate(20);
+    let oracle = (
+        query::total_nx_responses(db),
+        query::distinct_nx_names(db),
+        query::long_lived_nx(db, 5 * 365),
+        query::yearly_avg_monthly_nx(db),
+        top20,
+        query::lifespan_histogram(db, 60),
+        query::expiry_aligned_series(db, &era.expiry_days, 60, 120),
     );
     let serial_elapsed = t0.elapsed();
 
     let t1 = Instant::now();
-    let store = nxd_passive_dns::ShardedStore::from_db(&era.db, shards);
+    let store = nxd_passive_dns::ShardedStore::from_db(db, shards);
     let partition_elapsed = t1.elapsed();
 
     let t2 = Instant::now();
+    let summary = store.summary();
+    let mut top20 = summary.tld_distribution();
+    top20.truncate(20);
     let sharded = (
-        scale::headline_sharded(&store),
-        scale::fig3_sharded(&store),
-        scale::fig4_sharded(&store, 20),
-        scale::fig5_sharded(&store),
-        scale::fig6_sharded(&store, &expiry_strings),
+        summary.total_nx_responses(),
+        summary.distinct_nx_names(),
+        store.long_lived_nx(5 * 365),
+        summary.yearly_avg_monthly_nx(),
+        top20,
+        store.lifespan_histogram(60),
+        store.expiry_aligned_series(&expiry_strings, 60, 120),
     );
     let sharded_elapsed = t2.elapsed();
 
-    assert_eq!(serial, sharded, "sharded results diverged from serial");
+    assert_eq!(
+        sharded, oracle,
+        "sharded store diverged from the query oracle"
+    );
     println!(
-        "all five analyses bit-identical across {} shards ({} rows, {} names)",
+        "headline + Figs. 3-6 bit-identical to the query oracle across {} shards ({} rows, {} names)",
         store.shard_count(),
         commas(store.row_count() as u64),
         commas(store.distinct_names() as u64),
     );
     let speedup = serial_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64().max(1e-9);
     println!(
-        "serial suite {:>9.3} ms | partition {:>9.3} ms | sharded suite {:>9.3} ms | speedup {speedup:.2}x",
+        "oracle suite {:>9.3} ms | partition {:>9.3} ms | sharded suite {:>9.3} ms | speedup {speedup:.2}x",
         serial_elapsed.as_secs_f64() * 1e3,
         partition_elapsed.as_secs_f64() * 1e3,
         sharded_elapsed.as_secs_f64() * 1e3,
@@ -934,13 +941,14 @@ fn scale_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
     clippy::disallowed_methods,
     reason = "wall-clock timings printed for the operator; results never depend on them"
 )]
-fn origin_parallel_exp(worlds: &mut Worlds, shards: Option<usize>) {
+fn origin_parallel_exp(worlds: &mut Worlds) {
     use std::time::Instant;
 
     let telemetry = worlds.telemetry;
+    let flag = worlds.shards;
     let world = worlds.origin();
     let db = origin_db(world);
-    let (shards, picked) = resolve_shards(shards, db.row_count());
+    let (shards, picked) = resolve_shards(flag, db.row_count());
     heading(&format!(
         "E-ORIGIN-PARALLEL — fused §5 engine vs serial four-pass ({shards} shards{picked})"
     ));

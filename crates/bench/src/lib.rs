@@ -13,20 +13,15 @@
 //! This library crate only hosts shared experiment drivers so the bin and
 //! the benches stay in sync.
 
-use nxd_core::{origin as origin_analysis, security, XrefParams};
+use nxd_core::XrefParams;
 use nxd_dns_wire::RCode;
 use nxd_passive_dns::PassiveDb;
 use nxd_telemetry::Telemetry;
 use nxd_traffic::{era, honeypot_era, origin, EraConfig, HoneypotConfig, OriginConfig};
 
-/// Standard reproduction-scale era world (shared by bin + benches).
-pub fn era_world() -> era::EraWorld {
-    era::generate(EraConfig::default())
-}
-
-/// Instrumented variant of [`era_world`]: the embedded sensor database and
-/// consistency-check resolver attach to `telemetry`, and each generation
-/// stage records a span.
+/// The standard reproduction-scale era world. The embedded sensor database
+/// and consistency-check resolver attach to `telemetry`, and each
+/// generation stage records a span.
 pub fn era_world_with(telemetry: &Telemetry) -> era::EraWorld {
     era::generate_with(EraConfig::default(), telemetry)
 }
@@ -54,13 +49,8 @@ pub fn origin_world_small() -> origin::OriginWorld {
     })
 }
 
-/// Standard reproduction-scale honeypot world (Table 1 / 100).
-pub fn honeypot_world() -> honeypot_era::HoneypotWorld {
-    honeypot_era::generate(HoneypotConfig::default())
-}
-
-/// Instrumented variant of [`honeypot_world`]: per-phase packet counters
-/// and per-stage spans land in `telemetry`.
+/// The standard reproduction-scale honeypot world (Table 1 / 100).
+/// Per-phase packet counters and per-stage spans land in `telemetry`.
 pub fn honeypot_world_with(telemetry: &Telemetry) -> honeypot_era::HoneypotWorld {
     honeypot_era::generate_with(HoneypotConfig::default(), telemetry)
 }
@@ -99,20 +89,6 @@ pub fn origin_xref_params(population: usize) -> XrefParams {
         burst: 500,
         refill_per_sec: 200,
     }
-}
-
-/// Full §6 security report; filter and categorizer counters plus the two
-/// stage spans land in `telemetry`.
-pub fn security_report_with(
-    world: &honeypot_era::HoneypotWorld,
-    telemetry: &Telemetry,
-) -> nxd_core::SecurityReport {
-    security::run_with(world, telemetry)
-}
-
-/// §5.1 WHOIS join.
-pub fn whois_join(world: &era::EraWorld) -> origin_analysis::WhoisJoin {
-    origin_analysis::whois_join(&world.db, &world.whois)
 }
 
 #[cfg(test)]

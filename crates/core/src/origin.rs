@@ -20,7 +20,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use nxd_blocklist::{Blocklist, ThreatCategory};
 use nxd_dga::DgaDetector;
-use nxd_passive_dns::{query, NameId, PassiveDb};
+use nxd_passive_dns::hash::fnv1a;
+use nxd_passive_dns::PassiveDb;
 use nxd_squat::{SquatClassifier, SquatKind};
 use nxd_whois::HistoricWhoisDb;
 
@@ -117,7 +118,7 @@ where
     // Deterministic sample: order by salted hash, take the first k.
     let mut keyed: Vec<(u64, &str)> = domains
         .into_iter()
-        .map(|d| (fnv(d.as_bytes()), d))
+        .map(|d| (fnv1a(d.as_bytes(), 0), d))
         .collect();
     keyed.sort_unstable();
     keyed.truncate(sample_size);
@@ -173,32 +174,11 @@ where
     }
 }
 
-/// The §4.2-style deterministic sampling of NXDomain names from the passive
-/// database (1/`n` by stable hash), as interned ids — resolve them lazily
-/// through the store's interner instead of eagerly rendering strings.
-pub fn sample_names(db: &PassiveDb, n: u64, salt: u64) -> Vec<NameId> {
-    query::sample_nx_names(db, n, salt)
-}
-
-/// Lazily resolves sampled ids to borrowed name strings.
-#[cfg(test)]
-fn resolve_names<'a>(db: &'a PassiveDb, ids: &'a [NameId]) -> impl Iterator<Item = &'a str> {
-    ids.iter().map(|&id| db.interner().resolve(id))
-}
-
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nxd_dns_wire::RCode;
+    use nxd_passive_dns::query;
     use nxd_whois::{SpanEnd, WhoisRecord};
 
     #[test]
@@ -273,11 +253,11 @@ mod tests {
         for i in 0..2_000 {
             db.record_str(&format!("x{i}.com"), 17_000, 0, RCode::NxDomain, 1);
         }
-        let s = sample_names(&db, 10, 99);
+        let s = query::sample_nx_names(&db, 10, 99);
         assert!((100..350).contains(&s.len()), "got {}", s.len());
-        assert_eq!(s, sample_names(&db, 10, 99));
-        // Lazy resolution yields real names from the population.
-        for name in resolve_names(&db, &s) {
+        assert_eq!(s, query::sample_nx_names(&db, 10, 99));
+        // The sampled ids resolve to real names from the population.
+        for name in s.iter().map(|&id| db.interner().resolve(id)) {
             assert!(name.starts_with('x') && name.ends_with(".com"));
         }
     }

@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 
 use nxd_blocklist::Blocklist;
 use nxd_dga::DgaDetector;
+use nxd_passive_dns::hash::fnv1a;
 use nxd_passive_dns::{PassiveDb, ShardedStore};
 use nxd_squat::{SquatClassifier, SquatKind, SquatScratch};
 use nxd_telemetry::{Counter, Histogram, Journal, Stopwatch, Telemetry};
@@ -325,7 +326,7 @@ impl OriginPipeline<'_> {
             }) {
                 tally.squat[kind_slot(m.kind)] += 1;
             }
-            tally.sample.push((origin::fnv(name.as_bytes()), name));
+            tally.sample.push((fnv1a(name.as_bytes(), 0), name));
         }
         // Per-shard top-k keeps the merge buffer at `shards × k` entries.
         tally.sample.sort_unstable();

@@ -3,9 +3,10 @@
 //! (lifespan decay), Fig. 6 (expiry-aligned query averages), and the §7
 //! hijacking sensitivity experiment.
 //!
-//! Every figure has a `*_sharded` twin running the same analysis through the
-//! parallel [`ShardedStore`] executor; results are bit-identical to the
-//! serial versions for any shard count.
+//! Each figure is answered once, by the store's own engine: the whole-store
+//! group-bys read the memoized [`PassiveDb::summary`], and Figs. 5–6 run the
+//! compressed-block [`scan`] kernels. The [`query`] oracle they must equal
+//! lives in the tests and in `repro scale-parallel`.
 #![cfg_attr(
     not(test),
     deny(
@@ -19,7 +20,7 @@ use std::collections::HashMap;
 
 use nxd_dns_sim::HijackPolicy;
 use nxd_dns_wire::RCode;
-use nxd_passive_dns::{query, NameId, PassiveDb, ShardedStore};
+use nxd_passive_dns::{query, scan, NameId, PassiveDb};
 
 /// Headline scalars of §4.1/§4.4 (paper values at full scale:
 /// 1,069,114,764,701 responses; 146,363,745,785 names; 1,018,964 names
@@ -34,10 +35,11 @@ pub struct ScaleReport {
 
 /// Computes the headline scalars.
 pub fn headline(db: &PassiveDb) -> ScaleReport {
+    let summary = db.summary();
     let (five_year_names, five_year_queries) = query::long_lived_nx(db, 5 * 365);
     ScaleReport {
-        total_nx_responses: query::total_nx_responses(db),
-        distinct_nx_names: query::distinct_nx_names(db),
+        total_nx_responses: summary.total_nx_responses(),
+        distinct_nx_names: summary.distinct_nx_names(),
         five_year_names,
         five_year_queries,
     }
@@ -45,60 +47,27 @@ pub fn headline(db: &PassiveDb) -> ScaleReport {
 
 /// Fig. 3: average NXDOMAIN responses per month, per year.
 pub fn fig3(db: &PassiveDb) -> Vec<(i32, f64)> {
-    query::yearly_avg_monthly_nx(db)
+    db.summary().yearly_avg_monthly_nx()
 }
 
 /// Fig. 4: the top-`n` TLDs by NXDomain count, with their query volumes.
 pub fn fig4(db: &PassiveDb, n: usize) -> Vec<query::TldStat> {
-    let mut dist = query::tld_distribution(db);
+    let mut dist = db.summary().tld_distribution();
     dist.truncate(n);
     dist
 }
 
 /// Fig. 5: names and queries per day-offset in NX status (0–60 days).
 pub fn fig5(db: &PassiveDb) -> Vec<query::LifespanBucket> {
-    query::lifespan_histogram(db, 60)
+    scan::lifespan_histogram(db, 60)
 }
 
 /// Fig. 6: average queries per domain from 60 days before to 120 days after
 /// the status change.
 pub fn fig6(db: &PassiveDb, expiry_days: &HashMap<NameId, u32>) -> Vec<(i32, f64)> {
-    query::expiry_aligned_series(db, expiry_days, 60, 120)
-}
-
-/// Sharded twin of [`headline`]: the same scalars computed by the parallel
-/// executor, one partial per shard, merged deterministically.
-pub fn headline_sharded(store: &ShardedStore) -> ScaleReport {
-    let (five_year_names, five_year_queries) = store.long_lived_nx(5 * 365);
-    ScaleReport {
-        total_nx_responses: store.total_nx_responses(),
-        distinct_nx_names: store.distinct_nx_names(),
-        five_year_names,
-        five_year_queries,
-    }
-}
-
-/// Sharded twin of [`fig3`].
-pub fn fig3_sharded(store: &ShardedStore) -> Vec<(i32, f64)> {
-    store.summary().yearly_avg_monthly_nx()
-}
-
-/// Sharded twin of [`fig4`].
-pub fn fig4_sharded(store: &ShardedStore, n: usize) -> Vec<query::TldStat> {
-    let mut dist = store.tld_distribution();
-    dist.truncate(n);
-    dist
-}
-
-/// Sharded twin of [`fig5`].
-pub fn fig5_sharded(store: &ShardedStore) -> Vec<query::LifespanBucket> {
-    store.lifespan_histogram(60)
-}
-
-/// Sharded twin of [`fig6`]. The expiry panel is keyed by name string
-/// (not [`NameId`]) because interner ids are shard-local.
-pub fn fig6_sharded(store: &ShardedStore, expiry_days: &HashMap<String, u32>) -> Vec<(i32, f64)> {
-    store.expiry_aligned_series(expiry_days, 60, 120)
+    let panel: Vec<(NameId, u32)> = expiry_days.iter().map(|(&id, &day)| (id, day)).collect();
+    let totals = scan::expiry_aligned_totals(db, &panel, 60, 120);
+    scan::expiry_aligned_average(&totals, expiry_days.len(), 60)
 }
 
 /// §7 hijack sensitivity: how much of the NXDOMAIN signal would an ISP
@@ -183,13 +152,22 @@ mod tests {
         assert!((f - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn sharded_twins_match_serial_figures() {
-        let mut d = PassiveDb::new();
+    /// 400 rows over 120 NX names in four TLDs whose alphabetical order
+    /// is the reverse of their name-count order (zz 60, net 30, com 20,
+    /// ab 10), plus NoError noise under .org.
+    fn fixture(block_rows: usize) -> PassiveDb {
+        let mut d = PassiveDb::with_block_rows(block_rows);
         for i in 0..400u32 {
             let day = 16_800 + (i * 13) % 900;
+            let k = i % 120;
+            let tld = match k {
+                0..60 => "zz",
+                60..90 => "net",
+                90..110 => "com",
+                _ => "ab",
+            };
             d.record_str(
-                &format!("name-{}.net", i % 120),
+                &format!("name-{k}.{tld}"),
                 day,
                 (i % 5) as u16,
                 RCode::NxDomain,
@@ -199,27 +177,63 @@ mod tests {
                 d.record_str(&format!("ok-{i}.org"), day, 0, RCode::NoError, 2);
             }
         }
-        for shards in [1usize, 2, 4, 8] {
-            let store = ShardedStore::from_db(&d, shards);
-            assert_eq!(headline_sharded(&store), headline(&d), "shards={shards}");
-            assert_eq!(fig3_sharded(&store), fig3(&d), "shards={shards}");
-            assert_eq!(fig4_sharded(&store, 5), fig4(&d, 5), "shards={shards}");
-            assert_eq!(fig5_sharded(&store), fig5(&d), "shards={shards}");
-            let panel_ids: HashMap<NameId, u32> = (0..120u32)
-                .filter_map(|i| {
-                    d.interner()
-                        .get(&format!("name-{i}.net"))
-                        .map(|id| (id, 17_000 + i))
-                })
-                .collect();
-            let panel_strings: HashMap<String, u32> = (0..120u32)
-                .map(|i| (format!("name-{i}.net"), 17_000 + i))
-                .collect();
+        d
+    }
+
+    #[test]
+    fn figures_equal_the_query_oracle() {
+        for block_rows in [1, 7, usize::MAX] {
+            let d = fixture(block_rows);
+            let (five_year_names, five_year_queries) = query::long_lived_nx(&d, 5 * 365);
+            let oracle = ScaleReport {
+                total_nx_responses: query::total_nx_responses(&d),
+                distinct_nx_names: query::distinct_nx_names(&d),
+                five_year_names,
+                five_year_queries,
+            };
+            assert_eq!(headline(&d), oracle, "block_rows={block_rows}");
             assert_eq!(
-                fig6_sharded(&store, &panel_strings),
-                fig6(&d, &panel_ids),
-                "shards={shards}"
+                fig3(&d),
+                query::yearly_avg_monthly_nx(&d),
+                "block_rows={block_rows}"
             );
+            for n in [2, 20] {
+                let mut top = query::tld_distribution(&d);
+                top.truncate(n);
+                assert_eq!(fig4(&d, n), top, "block_rows={block_rows} n={n}");
+            }
+            assert_eq!(
+                fig4(&d, 2)
+                    .iter()
+                    .map(|t| t.tld.as_str())
+                    .collect::<Vec<_>>(),
+                ["zz", "net"]
+            );
+            assert_eq!(
+                fig5(&d),
+                query::lifespan_histogram(&d, 60),
+                "block_rows={block_rows}"
+            );
+            // Every name in the panel, plus one id the store never issued:
+            // it adds no rows but counts toward the denominator.
+            let mut panel: HashMap<NameId, u32> = d
+                .nx_names()
+                .map(|(id, agg)| (id, agg.first_nx_day + 90))
+                .collect();
+            panel.insert(NameId(u32::MAX), 17_000);
+            let series = fig6(&d, &panel);
+            let oracle = query::expiry_aligned_series(&d, &panel, 60, 120);
+            assert_eq!(series.len(), 181);
+            for (a, b) in series.iter().zip(&oracle) {
+                assert_eq!(a.0, b.0);
+                assert_eq!(
+                    a.1.to_bits(),
+                    b.1.to_bits(),
+                    "block_rows={block_rows} offset {}",
+                    a.0
+                );
+            }
+            assert!(fig6(&d, &HashMap::new()).is_empty());
         }
     }
 

@@ -100,7 +100,7 @@ impl Federation {
     /// TLD share vector of a database (sorted by TLD name for stable
     /// comparison), as `(tld, share)`.
     fn tld_shares(db: &PassiveDb) -> Vec<(String, f64)> {
-        let dist = crate::query::tld_distribution(db);
+        let dist = db.summary().tld_distribution();
         let total: u64 = dist.iter().map(|t| t.nx_names).sum();
         if total == 0 {
             return Vec::new();
@@ -174,7 +174,7 @@ impl Federation {
                 Coverage {
                     provider: name.clone(),
                     nx_names: mine.len() as u64,
-                    nx_responses: crate::query::total_nx_responses(db),
+                    nx_responses: db.summary().total_nx_responses(),
                     unique_names: unique,
                     jaccard_vs_union: jaccard,
                     tld_bias_l1: Self::l1_distance(&Self::tld_shares(db), &merged_shares),

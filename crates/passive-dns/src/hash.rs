@@ -1,5 +1,6 @@
 //! Deterministic name hashing shared by the sampling query and the sharded
-//! engine.
+//! engine. Unsalted, [`fnv1a`] is also the key `nxd-core` orders the §5
+//! blocklist sample by and the honeypot world's referral thread seed.
 //!
 //! Both consumers need the same property: a pure function of the name's
 //! bytes, stable across runs, platforms, and shard counts, so that sampling

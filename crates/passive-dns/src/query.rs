@@ -223,34 +223,14 @@ pub fn expiry_aligned_series(
     after: u32,
 ) -> Vec<(i32, f64)> {
     let _t = db.time_query();
-    if expiry_day.is_empty() {
-        return Vec::new();
-    }
     let totals = expiry_aligned_totals(db, expiry_day, before, after);
-    let denom = expiry_day.len() as f64;
-    totals
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (day_offset(i, before), t as f64 / denom))
-        .collect()
-}
-
-/// Slot index → signed day offset relative to expiry. Shared by the serial
-/// and sharded engines so both label series identically; saturates instead
-/// of truncating on (impossible in practice) >i32 spans.
-#[expect(
-    clippy::cast_possible_wrap,
-    reason = "slot indexes an in-memory series, far below i64::MAX"
-)]
-pub(crate) fn day_offset(slot: usize, before: u32) -> i32 {
-    i32::try_from(slot as i64 - i64::from(before)).unwrap_or(i32::MAX)
+    crate::scan::expiry_aligned_average(&totals, expiry_day.len(), before)
 }
 
 /// The un-normalized totals behind [`expiry_aligned_series`]: summed query
-/// counts per day-offset, one slot per offset in `[-before, after]`. The
-/// sharded engine sums these across shards before dividing once by the
-/// full panel size, which keeps the division bit-identical to the serial
-/// path.
+/// counts per day-offset, one slot per offset in `[-before, after]`, from a
+/// hash-map panel lookup per row (the reference for
+/// [`crate::scan::expiry_aligned_totals`]).
 #[expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,

@@ -9,7 +9,10 @@
 //! `ScanFilter` admits. They replace the oracle's per-row hash-map
 //! traffic with dense arrays indexed by the interner's dense [`NameId`]s.
 //!
-//! They power [`crate::ShardedStore`]'s fan-out. The serial
+//! They answer Figs. 5–6 for `nxd-core`'s `scale` module over one store and
+//! for [`crate::ShardedStore`]'s fan-out over many. Fig. 6's per-offset
+//! totals become averages in one place, [`expiry_aligned_average`], which
+//! the oracle, the store and the shards all call. The serial
 //! [`crate::query`] engine over an uncompressed store is the pinned
 //! reference, both for correctness (prop_block.rs) and for the BENCH_6
 //! speedup gate.
@@ -128,6 +131,28 @@ pub fn expiry_aligned_totals(
         },
     );
     totals
+}
+
+/// Fig. 6's divide-once step: per-offset `totals` (slot 0 is day
+/// `-before`) averaged over a panel of `panel_len` names and labelled with
+/// signed day offsets; an empty panel gives an empty series. The oracle,
+/// the store's figure and the sharded store all divide here, after summing
+/// integers, so their floats agree to the bit.
+#[must_use]
+#[expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "the f64 series divides already-summed integer totals once; nothing accumulates in float"
+)]
+pub fn expiry_aligned_average(totals: &[u64], panel_len: usize, before: u32) -> Vec<(i32, f64)> {
+    if panel_len == 0 {
+        return Vec::new();
+    }
+    let denom = panel_len as f64;
+    (-i64::from(before)..)
+        .zip(totals)
+        .map(|(offset, &t)| (i32::try_from(offset).unwrap_or(i32::MAX), t as f64 / denom))
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!
 //! [`ShardedStore::par_map`] runs one scoped worker per shard and
 //! reassembles partials in shard order; every merge is commutative and
-//! associative, so results are bit-identical to the serial engine for any
-//! shard count — property-tested in `tests/prop_shard.rs`.
+//! associative, so results are bit-identical to the serial [`crate::query`]
+//! oracle for any shard count — property-tested in `tests/prop_shard.rs`
+//! and asserted on the era world by `repro scale-parallel`.
 //!
 //! Each shard keeps its own intern tables and telemetry cells;
 //! [`ShardedStore::attach_metrics`] labels them `shard="i"` so they roll up
@@ -322,14 +323,13 @@ impl ShardedStore {
     }
 
     /// Fig. 6's expiry-aligned series (parallel
-    /// [`query::expiry_aligned_series`]), with the panel keyed by name
+    /// [`scan::expiry_aligned_totals`]), with the panel keyed by name
     /// string (shard-local `NameId`s are meaningless across shards). Raw
     /// per-offset totals are summed across shards, then normalized once by
-    /// the full panel size — the same division the serial engine performs.
+    /// the full panel size in [`scan::expiry_aligned_average`].
     #[expect(
         clippy::disallowed_types,
-        clippy::float_arithmetic,
-        reason = "iterated only to bucket names by home shard; per-offset sums are order-free and the denominator is len(); the f64 series divides the summed integer totals once"
+        reason = "the HashMap panel is iterated only to bucket names by home shard; per-offset sums are order-free and the f64 series comes from the shared divide-once step"
     )]
     pub fn expiry_aligned_series(
         &self,
@@ -337,9 +337,6 @@ impl ShardedStore {
         before: u32,
         after: u32,
     ) -> Vec<(i32, f64)> {
-        if expiry_day.is_empty() {
-            return Vec::new();
-        }
         // Split the panel by home shard, translating to shard-local ids.
         // Panel names the store never saw contribute no rows (exactly as in
         // the serial engine) but still count toward the denominator.
@@ -360,12 +357,7 @@ impl ShardedStore {
                 *slot += t;
             }
         }
-        let denom = expiry_day.len() as f64;
-        totals
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (query::day_offset(i, before), t as f64 / denom))
-            .collect()
+        scan::expiry_aligned_average(&totals, expiry_day.len(), before)
     }
 
     /// §4.4's long-lived NXDomain counts (parallel [`query::long_lived_nx`]).

@@ -13,6 +13,7 @@ use std::net::Ipv4Addr;
 use nxd_dns_sim::{ReverseDns, SimTime};
 use nxd_honeypot::{Packet, Transport, WebFilter};
 use nxd_httpsim::HttpRequest;
+use nxd_passive_dns::hash::fnv1a;
 use nxd_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,7 +101,7 @@ pub fn generate_with(config: HoneypotConfig, telemetry: &Telemetry) -> HoneypotW
             webfilter.add_page(
                 &format!(
                     "https://forum{i}.example-boards.net/thread/{}",
-                    fnv(spec.name) % 10_000 + i
+                    fnv1a(spec.name.as_bytes(), 0) % 10_000 + i
                 ),
                 [spec.name],
             );
@@ -187,15 +188,6 @@ pub fn generate_with(config: HoneypotConfig, telemetry: &Telemetry) -> HoneypotW
         reverse_dns,
         config,
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn stamp(rng: &mut StdRng) -> u64 {
@@ -589,7 +581,7 @@ fn gen_referrals(
         let referer = format!(
             "https://forum{}.example-boards.net/thread/{}",
             i % 16,
-            fnv(spec.name) % 10_000 + (i % 16)
+            fnv1a(spec.name.as_bytes(), 0) % 10_000 + (i % 16)
         );
         out.push(referral_request(rng, spec, &referer));
     }

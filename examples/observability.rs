@@ -104,6 +104,6 @@ fn main() {
         tail.body.lines().count()
     );
     server.shutdown();
-    println!("\n(`repro --serve 127.0.0.1:9090 scale` exposes the same plane mid-run;");
+    println!("\n(`repro --serve 127.0.0.1:9090 scalars` exposes the same plane mid-run;");
     println!(" `repro --trace-out t.json` writes the same spans as Chrome trace JSON)");
 }

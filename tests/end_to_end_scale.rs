@@ -3,6 +3,7 @@
 //! analyses (nxd-core) — with the §4 figure shapes asserted against the
 //! paper.
 
+use nxdomain::passive::query;
 use nxdomain::study::{origin, scale, selection};
 use nxdomain::traffic::era::{self, EraConfig};
 
@@ -102,8 +103,8 @@ fn selection_prefers_high_traffic_old_names() {
 #[test]
 fn sampling_is_stable_and_proportional() {
     let w = world();
-    let s1 = origin::sample_names(&w.db, 100, 7);
-    let s2 = origin::sample_names(&w.db, 100, 7);
+    let s1 = query::sample_nx_names(&w.db, 100, 7);
+    let s2 = query::sample_nx_names(&w.db, 100, 7);
     assert_eq!(s1, s2);
     let expected = scale::headline(&w.db).distinct_nx_names / 100;
     let got = s1.len() as u64;
