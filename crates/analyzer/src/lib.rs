@@ -14,6 +14,11 @@
 //! * **trace** — rules `NXD015`–`NXD017` over a resolver's
 //!   [`ResolveEvent`] stream.
 //!
+//! Each family is one `static` table of [`Rule`] entries in rule-ID order
+//! ([`wire::WIRE_RULES`], [`zone::ZONE_RULES`], [`trace::TRACE_RULES`]):
+//! an entry pairs the rule's [`RuleInfo`] with a plain check function, and
+//! [`Analyzer`] runs a table's checks in order over one artifact.
+//!
 //! Every diagnostic carries a stable rule ID, a severity, the violated RFC
 //! section, a location in the artifact, and a suggested fix; reports render
 //! as text or JSON. `Report::assert_no_high` is the strict-mode gate used by
@@ -42,31 +47,19 @@ use nxd_dns_sim::Zone;
 use nxd_dns_wire::{Message, Name, Record, WireError};
 
 pub use diagnostic::{Diagnostic, Location, Report, RuleInfo, Section, Severity};
-pub use rules::{catalog, Rule, TraceRule, WireRule, ZoneRule};
+pub use rules::{catalog, Rule};
 pub use wire::WireCtx;
 pub use zone::ZoneCtx;
 
-/// The analysis engine: the full rule set, applied per artifact kind.
-pub struct Analyzer {
-    wire_rules: Vec<Box<dyn WireRule>>,
-    zone_rules: Vec<Box<dyn ZoneRule>>,
-    trace_rules: Vec<Box<dyn TraceRule>>,
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The analysis engine: runs each pass family's rule table over one
+/// artifact.
+#[derive(Default)]
+pub struct Analyzer;
 
 impl Analyzer {
-    /// An analyzer running every registered rule.
+    /// An analyzer running every rule in the catalog.
     pub fn new() -> Self {
-        Analyzer {
-            wire_rules: wire::wire_rules(),
-            zone_rules: zone::zone_rules(),
-            trace_rules: trace::trace_rules(),
-        }
+        Analyzer
     }
 
     /// Runs the wire passes over a decoded message.
@@ -83,8 +76,8 @@ impl Analyzer {
 
     fn run_wire(&self, ctx: &WireCtx<'_>) -> Report {
         let mut out = Vec::new();
-        for rule in &self.wire_rules {
-            rule.check_message(ctx, &mut out);
+        for rule in &wire::WIRE_RULES {
+            (rule.check)(ctx, &mut out);
         }
         Report::new(out)
     }
@@ -100,8 +93,8 @@ impl Analyzer {
     pub fn analyze_records(&self, apex: &Name, records: &[Record]) -> Report {
         let ctx = ZoneCtx::new(apex, records);
         let mut out = Vec::new();
-        for rule in &self.zone_rules {
-            rule.check_zone(&ctx, &mut out);
+        for rule in &zone::ZONE_RULES {
+            (rule.check)(&ctx, &mut out);
         }
         Report::new(out)
     }
@@ -109,8 +102,8 @@ impl Analyzer {
     /// Runs the trace passes over a resolver event stream.
     pub fn analyze_trace(&self, events: &[ResolveEvent]) -> Report {
         let mut out = Vec::new();
-        for rule in &self.trace_rules {
-            rule.check_trace(events, &mut out);
+        for rule in &trace::TRACE_RULES {
+            (rule.check)(events, &mut out);
         }
         Report::new(out)
     }

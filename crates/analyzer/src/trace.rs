@@ -13,7 +13,7 @@ use nxd_dns_sim::resolver::ResolveEvent;
 use nxd_dns_wire::{Name, RCode};
 
 use crate::diagnostic::{Diagnostic, Location, RuleInfo, Severity};
-use crate::rules::{Rule, TraceRule};
+use crate::rules::Rule;
 
 fn loc(index: usize, ev: &ResolveEvent) -> Location {
     Location::Trace { index, at: ev.at.0 }
@@ -49,8 +49,6 @@ fn negative_windows(events: &[ResolveEvent]) -> HashMap<&Name, Vec<NegWindow>> {
 
 /// NXD015: a query for a name whose NXDOMAIN is still within its negative
 /// TTL must not reach upstream servers.
-pub struct RequeryInsideNegativeTtl;
-
 pub static NXD015: RuleInfo = RuleInfo {
     id: "NXD015",
     name: "requery-inside-negative-ttl",
@@ -59,42 +57,32 @@ pub static NXD015: RuleInfo = RuleInfo {
     summary: "upstream re-query for a name inside its negative-TTL window",
 };
 
-impl Rule for RequeryInsideNegativeTtl {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD015
-    }
-}
-
-impl TraceRule for RequeryInsideNegativeTtl {
-    fn check_trace(&self, events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-        let windows = negative_windows(events);
-        for (i, ev) in events.iter().enumerate() {
-            if ev.from_cache || ev.upstream_queries == 0 {
-                continue;
-            }
-            let covering = windows.get(&ev.qname).and_then(|per_name| {
-                per_name
-                    .iter()
-                    .find(|w| w.source != i && w.opened_at <= ev.at.0 && ev.at.0 < w.expires)
-            });
-            if let Some(w) = covering {
-                out.push(Diagnostic::new(
-                    &NXD015,
-                    loc(i, ev),
-                    format!(
-                        "{} went upstream at t={} although its NXDOMAIN (cached at t={}) is valid until t={}",
-                        ev.qname, ev.at.0, w.opened_at, w.expires
-                    ),
-                    "serve the denial from the negative cache until the window expires",
-                ));
-            }
+fn requery_inside_negative_ttl(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
+    let windows = negative_windows(events);
+    for (i, ev) in events.iter().enumerate() {
+        if ev.from_cache || ev.upstream_queries == 0 {
+            continue;
+        }
+        let covering = windows.get(&ev.qname).and_then(|per_name| {
+            per_name
+                .iter()
+                .find(|w| w.source != i && w.opened_at <= ev.at.0 && ev.at.0 < w.expires)
+        });
+        if let Some(w) = covering {
+            out.push(Diagnostic::new(
+                &NXD015,
+                loc(i, ev),
+                format!(
+                    "{} went upstream at t={} although its NXDOMAIN (cached at t={}) is valid until t={}",
+                    ev.qname, ev.at.0, w.opened_at, w.expires
+                ),
+                "serve the denial from the negative cache until the window expires",
+            ));
         }
     }
 }
 
 /// NXD016: a cached negative answer must not outlive its TTL.
-pub struct StaleNegativeServe;
-
 pub static NXD016: RuleInfo = RuleInfo {
     id: "NXD016",
     name: "stale-negative-serve",
@@ -103,37 +91,29 @@ pub static NXD016: RuleInfo = RuleInfo {
     summary: "negative answer served from cache after its TTL expired",
 };
 
-impl Rule for StaleNegativeServe {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD016
-    }
-}
-
-impl TraceRule for StaleNegativeServe {
-    fn check_trace(&self, events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-        let windows = negative_windows(events);
-        for (i, ev) in events.iter().enumerate() {
-            if !(ev.from_cache && ev.rcode == RCode::NxDomain) {
-                continue;
-            }
-            let Some(per_name) = windows.get(&ev.qname) else {
-                continue;
-            };
-            let live = per_name
-                .iter()
-                .any(|w| w.opened_at <= ev.at.0 && ev.at.0 < w.expires);
-            if !live {
-                let last = per_name.iter().map(|w| w.expires).max().unwrap_or(0);
-                out.push(Diagnostic::new(
-                    &NXD016,
-                    loc(i, ev),
-                    format!(
-                        "cached NXDOMAIN for {} served at t={} but every negative window ended by t={}",
-                        ev.qname, ev.at.0, last
-                    ),
-                    "evict negative-cache entries at expiry and re-query upstream",
-                ));
-            }
+fn stale_negative_serve(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
+    let windows = negative_windows(events);
+    for (i, ev) in events.iter().enumerate() {
+        if !(ev.from_cache && ev.rcode == RCode::NxDomain) {
+            continue;
+        }
+        let Some(per_name) = windows.get(&ev.qname) else {
+            continue;
+        };
+        let live = per_name
+            .iter()
+            .any(|w| w.opened_at <= ev.at.0 && ev.at.0 < w.expires);
+        if !live {
+            let last = per_name.iter().map(|w| w.expires).max().unwrap_or(0);
+            out.push(Diagnostic::new(
+                &NXD016,
+                loc(i, ev),
+                format!(
+                    "cached NXDOMAIN for {} served at t={} but every negative window ended by t={}",
+                    ev.qname, ev.at.0, last
+                ),
+                "evict negative-cache entries at expiry and re-query upstream",
+            ));
         }
     }
 }
@@ -141,8 +121,6 @@ impl TraceRule for StaleNegativeServe {
 /// NXD017: NXDOMAIN means nothing exists beneath the name either (RFC 8020),
 /// so an upstream query for a subordinate name inside the window shows the
 /// resolver is not cutting off the denied subtree.
-pub struct SubtreeQueryAfterNxdomain;
-
 pub static NXD017: RuleInfo = RuleInfo {
     id: "NXD017",
     name: "subtree-query-after-nxdomain",
@@ -151,51 +129,44 @@ pub static NXD017: RuleInfo = RuleInfo {
     summary: "upstream query for a name below a domain known not to exist",
 };
 
-impl Rule for SubtreeQueryAfterNxdomain {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD017
-    }
-}
-
-impl TraceRule for SubtreeQueryAfterNxdomain {
-    fn check_trace(&self, events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-        let windows = negative_windows(events);
-        for (i, ev) in events.iter().enumerate() {
-            if ev.from_cache || ev.upstream_queries == 0 {
+fn subtree_query_after_nxdomain(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
+    let windows = negative_windows(events);
+    for (i, ev) in events.iter().enumerate() {
+        if ev.from_cache || ev.upstream_queries == 0 {
+            continue;
+        }
+        // Strict ancestors only: the exact name is NXD015's business.
+        for (ancestor, per_name) in &windows {
+            if **ancestor == ev.qname || !ev.qname.is_subdomain_of(ancestor) {
                 continue;
             }
-            // Strict ancestors only: the exact name is NXD015's business.
-            for (ancestor, per_name) in &windows {
-                if **ancestor == ev.qname || !ev.qname.is_subdomain_of(ancestor) {
-                    continue;
-                }
-                if let Some(w) = per_name
-                    .iter()
-                    .find(|w| w.opened_at < ev.at.0 && ev.at.0 < w.expires)
-                {
-                    out.push(Diagnostic::new(
-                        &NXD017,
-                        loc(i, ev),
-                        format!(
-                            "{} went upstream at t={} although ancestor {} was NXDOMAIN until t={}",
-                            ev.qname, ev.at.0, ancestor, w.expires
-                        ),
-                        "apply RFC 8020 subtree semantics to the negative cache (deny descendants too)",
-                    ));
-                }
+            if let Some(w) = per_name
+                .iter()
+                .find(|w| w.opened_at < ev.at.0 && ev.at.0 < w.expires)
+            {
+                out.push(Diagnostic::new(
+                    &NXD017,
+                    loc(i, ev),
+                    format!(
+                        "{} went upstream at t={} although ancestor {} was NXDOMAIN until t={}",
+                        ev.qname, ev.at.0, ancestor, w.expires
+                    ),
+                    "apply RFC 8020 subtree semantics to the negative cache (deny descendants too)",
+                ));
             }
         }
     }
 }
 
-/// All trace rules, in rule-ID order.
-pub fn trace_rules() -> Vec<Box<dyn TraceRule>> {
-    vec![
-        Box::new(RequeryInsideNegativeTtl),
-        Box::new(StaleNegativeServe),
-        Box::new(SubtreeQueryAfterNxdomain),
-    ]
-}
+/// A trace rule's check: appends one diagnostic per violation in a trace.
+pub type TraceCheck = fn(&[ResolveEvent], &mut Vec<Diagnostic>);
+
+/// The trace pass, in rule-ID order.
+pub static TRACE_RULES: [Rule<TraceCheck>; 3] = [
+    Rule::new(&NXD015, requery_inside_negative_ttl),
+    Rule::new(&NXD016, stale_negative_serve),
+    Rule::new(&NXD017, subtree_query_after_nxdomain),
+];
 
 #[cfg(test)]
 mod tests {
@@ -226,9 +197,11 @@ mod tests {
         }
     }
 
-    fn run(rule: &dyn TraceRule, events: &[ResolveEvent]) -> Vec<Diagnostic> {
+    /// Runs the trace table's entry for rule `id` alone.
+    fn run(id: &str, events: &[ResolveEvent]) -> Vec<Diagnostic> {
+        let rule = TRACE_RULES.iter().find(|r| r.info.id == id).unwrap();
         let mut out = Vec::new();
-        rule.check_trace(events, &mut out);
+        (rule.check)(events, &mut out);
         out
     }
 
@@ -244,11 +217,11 @@ mod tests {
 
     #[test]
     fn clean_trace_passes_every_rule() {
-        for rule in trace_rules() {
+        for rule in &TRACE_RULES {
             assert!(
-                run(rule.as_ref(), &clean_trace()).is_empty(),
+                run(rule.info.id, &clean_trace()).is_empty(),
                 "{} fired on a clean trace",
-                rule.info().id
+                rule.info.id
             );
         }
     }
@@ -260,7 +233,7 @@ mod tests {
             // Negative cache ignored: the same name goes upstream again.
             ev(400, "ghost.com", RCode::NxDomain, false, 2, Some(900)),
         ];
-        let diags = run(&RequeryInsideNegativeTtl, &events);
+        let diags = run("NXD015", &events);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD015");
         assert_eq!(diags[0].rule.severity, Severity::High);
@@ -268,7 +241,7 @@ mod tests {
 
     #[test]
     fn nxd015_clean_after_window_expiry() {
-        assert!(run(&RequeryInsideNegativeTtl, &clean_trace()).is_empty());
+        assert!(run("NXD015", &clean_trace()).is_empty());
     }
 
     #[test]
@@ -278,14 +251,14 @@ mod tests {
             // Served from cache long after t=1000 expiry.
             ev(5000, "ghost.com", RCode::NxDomain, true, 0, None),
         ];
-        let diags = run(&StaleNegativeServe, &events);
+        let diags = run("NXD016", &events);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD016");
     }
 
     #[test]
     fn nxd016_clean_inside_window() {
-        assert!(run(&StaleNegativeServe, &clean_trace()).is_empty());
+        assert!(run("NXD016", &clean_trace()).is_empty());
     }
 
     #[test]
@@ -294,7 +267,7 @@ mod tests {
             ev(100, "ghost.com", RCode::NxDomain, false, 2, Some(900)),
             ev(300, "www.ghost.com", RCode::NxDomain, false, 2, Some(900)),
         ];
-        let diags = run(&SubtreeQueryAfterNxdomain, &events);
+        let diags = run("NXD017", &events);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD017");
         assert!(diags[0].message.contains("ghost.com"));
@@ -309,6 +282,6 @@ mod tests {
             // Unrelated name: allowed.
             ev(300, "other.com", RCode::NoError, false, 3, None),
         ];
-        assert!(run(&SubtreeQueryAfterNxdomain, &events).is_empty());
+        assert!(run("NXD017", &events).is_empty());
     }
 }

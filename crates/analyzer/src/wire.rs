@@ -9,7 +9,7 @@
 use nxd_dns_wire::{Message, RCode, RData, RType, Record};
 
 use crate::diagnostic::{Diagnostic, Location, RuleInfo, Section, Severity};
-use crate::rules::{Rule, WireRule};
+use crate::rules::Rule;
 
 /// Everything a wire rule can see: the decoded message plus, when the caller
 /// has it, the raw wire length (needed for the truncation rule; computed by
@@ -64,8 +64,6 @@ fn at(section: Section, index: Option<usize>) -> Location {
 
 /// NXD001: an NXDOMAIN response must carry the zone SOA in its authority
 /// section, otherwise resolvers cannot negative-cache it.
-pub struct NxdomainMissingSoa;
-
 pub static NXD001: RuleInfo = RuleInfo {
     id: "NXD001",
     name: "nxdomain-missing-soa",
@@ -74,32 +72,22 @@ pub static NXD001: RuleInfo = RuleInfo {
     summary: "NXDOMAIN response carries no SOA record in the authority section",
 };
 
-impl Rule for NxdomainMissingSoa {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD001
-    }
-}
-
-impl WireRule for NxdomainMissingSoa {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        if ctx.is_response()
-            && ctx.msg.header.rcode == RCode::NxDomain
-            && ctx.soa_authorities().next().is_none()
-        {
-            out.push(Diagnostic::new(
-                &NXD001,
-                at(Section::Authority, None),
-                "NXDOMAIN response has no SOA record in the authority section",
-                "attach the enclosing zone's SOA so resolvers can negative-cache the denial",
-            ));
-        }
+fn nxdomain_missing_soa(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    if ctx.is_response()
+        && ctx.msg.header.rcode == RCode::NxDomain
+        && ctx.soa_authorities().next().is_none()
+    {
+        out.push(Diagnostic::new(
+            &NXD001,
+            at(Section::Authority, None),
+            "NXDOMAIN response has no SOA record in the authority section",
+            "attach the enclosing zone's SOA so resolvers can negative-cache the denial",
+        ));
     }
 }
 
 /// NXD002: an NXDOMAIN response asserts the name has no records, so the
 /// answer section must not carry data for it (CNAME chain members excepted).
-pub struct NxdomainWithAnswers;
-
 pub static NXD002: RuleInfo = RuleInfo {
     id: "NXD002",
     name: "nxdomain-with-answers",
@@ -108,38 +96,28 @@ pub static NXD002: RuleInfo = RuleInfo {
     summary: "NXDOMAIN response carries non-CNAME answer records",
 };
 
-impl Rule for NxdomainWithAnswers {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD002
+fn nxdomain_with_answers(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    if !ctx.is_response() || ctx.msg.header.rcode != RCode::NxDomain {
+        return;
     }
-}
-
-impl WireRule for NxdomainWithAnswers {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        if !ctx.is_response() || ctx.msg.header.rcode != RCode::NxDomain {
-            return;
-        }
-        for (i, rec) in ctx.msg.answers.iter().enumerate() {
-            if rec.rtype() != RType::Cname {
-                out.push(Diagnostic::new(
-                    &NXD002,
-                    at(Section::Answer, Some(i)),
-                    format!(
-                        "NXDOMAIN response carries a {} answer for {} — denial and data contradict",
-                        rec.rtype(),
-                        rec.name
-                    ),
-                    "drop the answer records (or return NOERROR if the name exists)",
-                ));
-            }
+    for (i, rec) in ctx.msg.answers.iter().enumerate() {
+        if rec.rtype() != RType::Cname {
+            out.push(Diagnostic::new(
+                &NXD002,
+                at(Section::Answer, Some(i)),
+                format!(
+                    "NXDOMAIN response carries a {} answer for {} — denial and data contradict",
+                    rec.rtype(),
+                    rec.name
+                ),
+                "drop the answer records (or return NOERROR if the name exists)",
+            ));
         }
     }
 }
 
 /// NXD003: a denial of existence must be vouched for by someone — either the
 /// authority itself (AA) or a recursive resolver relaying it (RA).
-pub struct DenialWithoutAuthority;
-
 pub static NXD003: RuleInfo = RuleInfo {
     id: "NXD003",
     name: "denial-unattributed",
@@ -148,30 +126,20 @@ pub static NXD003: RuleInfo = RuleInfo {
     summary: "NXDOMAIN response sets neither AA nor RA",
 };
 
-impl Rule for DenialWithoutAuthority {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD003
-    }
-}
-
-impl WireRule for DenialWithoutAuthority {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let h = &ctx.msg.header;
-        if ctx.is_response() && h.rcode == RCode::NxDomain && !h.aa && !h.ra {
-            out.push(Diagnostic::new(
-                &NXD003,
-                at(Section::Header, None),
-                "denial of existence with AA=0 and RA=0 — neither authoritative nor recursive",
-                "set AA on authoritative denials, RA on responses from a recursive resolver",
-            ));
-        }
+fn denial_without_authority(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let h = &ctx.msg.header;
+    if ctx.is_response() && h.rcode == RCode::NxDomain && !h.aa && !h.ra {
+        out.push(Diagnostic::new(
+            &NXD003,
+            at(Section::Header, None),
+            "denial of existence with AA=0 and RA=0 — neither authoritative nor recursive",
+            "set AA on authoritative denials, RA on responses from a recursive resolver",
+        ));
     }
 }
 
 /// NXD004: the effective negative TTL is min(SOA TTL, SOA MINIMUM); an SOA
 /// TTL above MINIMUM advertises a window the resolver must not honor.
-pub struct NegativeTtlAboveMinimum;
-
 pub static NXD004: RuleInfo = RuleInfo {
     id: "NXD004",
     name: "negative-ttl-above-minimum",
@@ -180,38 +148,28 @@ pub static NXD004: RuleInfo = RuleInfo {
     summary: "SOA record TTL in a negative response exceeds the SOA MINIMUM field",
 };
 
-impl Rule for NegativeTtlAboveMinimum {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD004
+fn negative_ttl_above_minimum(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    if !ctx.is_negative() {
+        return;
     }
-}
-
-impl WireRule for NegativeTtlAboveMinimum {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        if !ctx.is_negative() {
-            return;
-        }
-        for (i, rec) in ctx.soa_authorities() {
-            if let RData::Soa(soa) = &rec.rdata {
-                if rec.ttl > soa.minimum {
-                    out.push(Diagnostic::new(
-                        &NXD004,
-                        at(Section::Authority, Some(i)),
-                        format!(
-                            "SOA record TTL {} exceeds SOA MINIMUM {}; the negative TTL is their minimum",
-                            rec.ttl, soa.minimum
-                        ),
-                        "cap the SOA record TTL at the MINIMUM field when answering negatively",
-                    ));
-                }
+    for (i, rec) in ctx.soa_authorities() {
+        if let RData::Soa(soa) = &rec.rdata {
+            if rec.ttl > soa.minimum {
+                out.push(Diagnostic::new(
+                    &NXD004,
+                    at(Section::Authority, Some(i)),
+                    format!(
+                        "SOA record TTL {} exceeds SOA MINIMUM {}; the negative TTL is their minimum",
+                        rec.ttl, soa.minimum
+                    ),
+                    "cap the SOA record TTL at the MINIMUM field when answering negatively",
+                ));
             }
         }
     }
 }
 
 /// NXD005: responses echo the question so clients can match them up.
-pub struct ResponseMissingQuestion;
-
 pub static NXD005: RuleInfo = RuleInfo {
     id: "NXD005",
     name: "response-missing-question",
@@ -220,33 +178,23 @@ pub static NXD005: RuleInfo = RuleInfo {
     summary: "response does not echo the question section",
 };
 
-impl Rule for ResponseMissingQuestion {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD005
-    }
-}
-
-impl WireRule for ResponseMissingQuestion {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let h = &ctx.msg.header;
-        if ctx.is_response()
-            && matches!(h.rcode, RCode::NoError | RCode::NxDomain)
-            && ctx.msg.questions.is_empty()
-        {
-            out.push(Diagnostic::new(
-                &NXD005,
-                at(Section::Question, None),
-                format!("{} response has an empty question section", h.rcode),
-                "echo the query's question so the client can associate the response",
-            ));
-        }
+fn response_missing_question(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let h = &ctx.msg.header;
+    if ctx.is_response()
+        && matches!(h.rcode, RCode::NoError | RCode::NxDomain)
+        && ctx.msg.questions.is_empty()
+    {
+        out.push(Diagnostic::new(
+            &NXD005,
+            at(Section::Question, None),
+            format!("{} response has an empty question section", h.rcode),
+            "echo the query's question so the client can associate the response",
+        ));
     }
 }
 
 /// NXD006: the SOA in a negative response names the zone that authoritatively
 /// denies the name, so its owner must be the qname or an ancestor of it.
-pub struct SoaOwnerNotAncestor;
-
 pub static NXD006: RuleInfo = RuleInfo {
     id: "NXD006",
     name: "soa-owner-not-ancestor",
@@ -255,40 +203,30 @@ pub static NXD006: RuleInfo = RuleInfo {
     summary: "SOA owner in a negative response does not enclose the queried name",
 };
 
-impl Rule for SoaOwnerNotAncestor {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD006
+fn soa_owner_not_ancestor(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    if !ctx.is_negative() {
+        return;
     }
-}
-
-impl WireRule for SoaOwnerNotAncestor {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        if !ctx.is_negative() {
-            return;
-        }
-        let Some(q) = ctx.msg.questions.first() else {
-            return;
-        };
-        for (i, rec) in ctx.soa_authorities() {
-            if !q.qname.is_subdomain_of(&rec.name) {
-                out.push(Diagnostic::new(
-                    &NXD006,
-                    at(Section::Authority, Some(i)),
-                    format!(
-                        "SOA owner {} is not an ancestor of the queried name {}",
-                        rec.name, q.qname
-                    ),
-                    "return the SOA of the zone actually containing (or denying) the qname",
-                ));
-            }
+    let Some(q) = ctx.msg.questions.first() else {
+        return;
+    };
+    for (i, rec) in ctx.soa_authorities() {
+        if !q.qname.is_subdomain_of(&rec.name) {
+            out.push(Diagnostic::new(
+                &NXD006,
+                at(Section::Authority, Some(i)),
+                format!(
+                    "SOA owner {} is not an ancestor of the queried name {}",
+                    rec.name, q.qname
+                ),
+                "return the SOA of the zone actually containing (or denying) the qname",
+            ));
         }
     }
 }
 
 /// NXD007: TTLs are 31-bit; a set high bit must be treated as 0, so emitting
 /// one advertises a TTL the peer will ignore.
-pub struct TtlHighBitSet;
-
 pub static NXD007: RuleInfo = RuleInfo {
     id: "NXD007",
     name: "ttl-high-bit",
@@ -297,33 +235,25 @@ pub static NXD007: RuleInfo = RuleInfo {
     summary: "record TTL has the high bit set (interpreted as 0 by receivers)",
 };
 
-impl Rule for TtlHighBitSet {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD007
-    }
-}
-
-impl WireRule for TtlHighBitSet {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let sections = [
-            (Section::Answer, &ctx.msg.answers),
-            (Section::Authority, &ctx.msg.authorities),
-            (Section::Additional, &ctx.msg.additionals),
-        ];
-        for (section, records) in sections {
-            for (i, rec) in records.iter().enumerate() {
-                // OPT records overload the TTL field (RFC 6891 §6.1.3).
-                if rec.rtype() == RType::Opt {
-                    continue;
-                }
-                if rec.ttl > i32::MAX as u32 {
-                    out.push(Diagnostic::new(
-                        &NXD007,
-                        at(section, Some(i)),
-                        format!("TTL {} on {} has the high bit set", rec.ttl, rec.name),
-                        "use a TTL of at most 2^31-1; receivers treat larger values as 0",
-                    ));
-                }
+fn ttl_high_bit_set(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let sections = [
+        (Section::Answer, &ctx.msg.answers),
+        (Section::Authority, &ctx.msg.authorities),
+        (Section::Additional, &ctx.msg.additionals),
+    ];
+    for (section, records) in sections {
+        for (i, rec) in records.iter().enumerate() {
+            // OPT records overload the TTL field (RFC 6891 §6.1.3).
+            if rec.rtype() == RType::Opt {
+                continue;
+            }
+            if rec.ttl > i32::MAX as u32 {
+                out.push(Diagnostic::new(
+                    &NXD007,
+                    at(section, Some(i)),
+                    format!("TTL {} on {} has the high bit set", rec.ttl, rec.name),
+                    "use a TTL of at most 2^31-1; receivers treat larger values as 0",
+                ));
             }
         }
     }
@@ -331,8 +261,6 @@ impl WireRule for TtlHighBitSet {
 
 /// NXD008: a plain-DNS message longer than 512 octets must either be
 /// truncated (TC) or negotiated via EDNS0 (an OPT record).
-pub struct OversizeWithoutEdns;
-
 pub static NXD008: RuleInfo = RuleInfo {
     id: "NXD008",
     name: "oversize-without-edns",
@@ -341,49 +269,42 @@ pub static NXD008: RuleInfo = RuleInfo {
     summary: "message exceeds 512 octets without TC or an EDNS0 OPT record",
 };
 
-impl Rule for OversizeWithoutEdns {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD008
+fn oversize_without_edns(ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let len = match ctx.wire_len {
+        Some(len) => len,
+        // Not off a wire: measure what the compressed encoding would be.
+        None => match ctx.msg.encode() {
+            Ok(buf) => buf.len(),
+            Err(_) => return,
+        },
+    };
+    let has_opt = ctx.msg.additionals.iter().any(|r| r.rtype() == RType::Opt);
+    if len > 512 && !ctx.msg.header.tc && !has_opt {
+        out.push(Diagnostic::new(
+            &NXD008,
+            at(Section::Header, None),
+            format!(
+                "message is {len} octets, beyond the 512-octet UDP limit, with TC=0 and no OPT"
+            ),
+            "set TC so the client retries over TCP, or negotiate a larger size with EDNS0",
+        ));
     }
 }
 
-impl WireRule for OversizeWithoutEdns {
-    fn check_message(&self, ctx: &WireCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let len = match ctx.wire_len {
-            Some(len) => len,
-            // Not off a wire: measure what the compressed encoding would be.
-            None => match ctx.msg.encode() {
-                Ok(buf) => buf.len(),
-                Err(_) => return,
-            },
-        };
-        let has_opt = ctx.msg.additionals.iter().any(|r| r.rtype() == RType::Opt);
-        if len > 512 && !ctx.msg.header.tc && !has_opt {
-            out.push(Diagnostic::new(
-                &NXD008,
-                at(Section::Header, None),
-                format!(
-                    "message is {len} octets, beyond the 512-octet UDP limit, with TC=0 and no OPT"
-                ),
-                "set TC so the client retries over TCP, or negotiate a larger size with EDNS0",
-            ));
-        }
-    }
-}
+/// A wire rule's check: appends one diagnostic per violation in a message.
+pub type WireCheck = fn(&WireCtx<'_>, &mut Vec<Diagnostic>);
 
-/// All wire rules, in rule-ID order.
-pub fn wire_rules() -> Vec<Box<dyn WireRule>> {
-    vec![
-        Box::new(NxdomainMissingSoa),
-        Box::new(NxdomainWithAnswers),
-        Box::new(DenialWithoutAuthority),
-        Box::new(NegativeTtlAboveMinimum),
-        Box::new(ResponseMissingQuestion),
-        Box::new(SoaOwnerNotAncestor),
-        Box::new(TtlHighBitSet),
-        Box::new(OversizeWithoutEdns),
-    ]
-}
+/// The wire pass, in rule-ID order.
+pub static WIRE_RULES: [Rule<WireCheck>; 8] = [
+    Rule::new(&NXD001, nxdomain_missing_soa),
+    Rule::new(&NXD002, nxdomain_with_answers),
+    Rule::new(&NXD003, denial_without_authority),
+    Rule::new(&NXD004, negative_ttl_above_minimum),
+    Rule::new(&NXD005, response_missing_question),
+    Rule::new(&NXD006, soa_owner_not_ancestor),
+    Rule::new(&NXD007, ttl_high_bit_set),
+    Rule::new(&NXD008, oversize_without_edns),
+];
 
 #[cfg(test)]
 mod tests {
@@ -419,9 +340,11 @@ mod tests {
         resp
     }
 
-    fn run(rule: &dyn WireRule, msg: &Message) -> Vec<Diagnostic> {
+    /// Runs the wire table's entry for rule `id` alone.
+    fn run(id: &str, msg: &Message) -> Vec<Diagnostic> {
+        let rule = WIRE_RULES.iter().find(|r| r.info.id == id).unwrap();
         let mut out = Vec::new();
-        rule.check_message(&WireCtx::new(msg), &mut out);
+        (rule.check)(&WireCtx::new(msg), &mut out);
         out
     }
 
@@ -429,7 +352,7 @@ mod tests {
     fn nxd001_flags_missing_soa() {
         let mut msg = clean_nxdomain();
         msg.authorities.clear();
-        let diags = run(&NxdomainMissingSoa, &msg);
+        let diags = run("NXD001", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD001");
         assert_eq!(diags[0].rule.severity, Severity::High);
@@ -437,10 +360,10 @@ mod tests {
 
     #[test]
     fn nxd001_clean_on_conformant_response() {
-        assert!(run(&NxdomainMissingSoa, &clean_nxdomain()).is_empty());
+        assert!(run("NXD001", &clean_nxdomain()).is_empty());
         // Queries and positive responses are out of scope.
         let q = Message::query(1, n("a.com"), RType::A);
-        assert!(run(&NxdomainMissingSoa, &q).is_empty());
+        assert!(run("NXD001", &q).is_empty());
     }
 
     #[test]
@@ -451,7 +374,7 @@ mod tests {
             60,
             RData::A(Ipv4Addr::LOCALHOST),
         ));
-        let diags = run(&NxdomainWithAnswers, &msg);
+        let diags = run("NXD002", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD002");
     }
@@ -464,7 +387,7 @@ mod tests {
             60,
             RData::Cname(n("gone.example.com")),
         ));
-        assert!(run(&NxdomainWithAnswers, &msg).is_empty());
+        assert!(run("NXD002", &msg).is_empty());
     }
 
     #[test]
@@ -472,7 +395,7 @@ mod tests {
         let mut msg = clean_nxdomain();
         msg.header.aa = false;
         msg.header.ra = false;
-        let diags = run(&DenialWithoutAuthority, &msg);
+        let diags = run("NXD003", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD003");
     }
@@ -482,15 +405,15 @@ mod tests {
         let mut msg = clean_nxdomain();
         msg.header.ra = false;
         msg.header.aa = true;
-        assert!(run(&DenialWithoutAuthority, &msg).is_empty());
-        assert!(run(&DenialWithoutAuthority, &clean_nxdomain()).is_empty());
+        assert!(run("NXD003", &msg).is_empty());
+        assert!(run("NXD003", &clean_nxdomain()).is_empty());
     }
 
     #[test]
     fn nxd004_flags_soa_ttl_above_minimum() {
         let mut msg = clean_nxdomain();
         msg.authorities[0] = soa_record("example.com", 86_400, 900);
-        let diags = run(&NegativeTtlAboveMinimum, &msg);
+        let diags = run("NXD004", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD004");
         assert!(diags[0].message.contains("86400"));
@@ -498,35 +421,35 @@ mod tests {
 
     #[test]
     fn nxd004_clean_when_capped() {
-        assert!(run(&NegativeTtlAboveMinimum, &clean_nxdomain()).is_empty());
+        assert!(run("NXD004", &clean_nxdomain()).is_empty());
     }
 
     #[test]
     fn nxd005_flags_missing_question() {
         let mut msg = clean_nxdomain();
         msg.questions.clear();
-        let diags = run(&ResponseMissingQuestion, &msg);
+        let diags = run("NXD005", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD005");
     }
 
     #[test]
     fn nxd005_clean_with_question() {
-        assert!(run(&ResponseMissingQuestion, &clean_nxdomain()).is_empty());
+        assert!(run("NXD005", &clean_nxdomain()).is_empty());
     }
 
     #[test]
     fn nxd006_flags_unrelated_soa_owner() {
         let mut msg = clean_nxdomain();
         msg.authorities[0] = soa_record("other.net", 900, 900);
-        let diags = run(&SoaOwnerNotAncestor, &msg);
+        let diags = run("NXD006", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD006");
     }
 
     #[test]
     fn nxd006_clean_for_enclosing_zone() {
-        assert!(run(&SoaOwnerNotAncestor, &clean_nxdomain()).is_empty());
+        assert!(run("NXD006", &clean_nxdomain()).is_empty());
     }
 
     #[test]
@@ -537,7 +460,7 @@ mod tests {
             0x8000_0001,
             RData::A(Ipv4Addr::LOCALHOST),
         ));
-        let diags = run(&TtlHighBitSet, &msg);
+        let diags = run("NXD007", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD007");
         assert_eq!(diags[0].rule.severity, Severity::Low);
@@ -545,7 +468,7 @@ mod tests {
 
     #[test]
     fn nxd007_clean_on_sane_ttls() {
-        assert!(run(&TtlHighBitSet, &clean_nxdomain()).is_empty());
+        assert!(run("NXD007", &clean_nxdomain()).is_empty());
     }
 
     #[test]
@@ -557,14 +480,14 @@ mod tests {
             60,
             RData::Txt(vec!["x".repeat(200), "y".repeat(200), "z".repeat(200)]),
         ));
-        let diags = run(&OversizeWithoutEdns, &msg);
+        let diags = run("NXD008", &msg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD008");
     }
 
     #[test]
     fn nxd008_clean_with_tc_or_opt_or_small() {
-        assert!(run(&OversizeWithoutEdns, &clean_nxdomain()).is_empty());
+        assert!(run("NXD008", &clean_nxdomain()).is_empty());
         let q = Message::query(1, n("big.example.com"), RType::Txt);
         let mut msg = Message::response(&q, RCode::NoError);
         msg.answers.push(Record::new(
@@ -574,11 +497,11 @@ mod tests {
         ));
         let mut with_tc = msg.clone();
         with_tc.header.tc = true;
-        assert!(run(&OversizeWithoutEdns, &with_tc).is_empty());
+        assert!(run("NXD008", &with_tc).is_empty());
         let mut with_opt = msg;
         with_opt
             .additionals
             .push(Record::new(Name::root(), 0, RData::Opt(Vec::new())));
-        assert!(run(&OversizeWithoutEdns, &with_opt).is_empty());
+        assert!(run("NXD008", &with_opt).is_empty());
     }
 }

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use nxd_dns_wire::{Name, RData, RType, Record};
 
 use crate::diagnostic::{Diagnostic, Location, RuleInfo, Severity};
-use crate::rules::{Rule, ZoneRule};
+use crate::rules::Rule;
 
 /// Everything a zone rule can see: the apex and the zone's records, plus
 /// owner/cut indexes shared by the rules so each pass stays linear.
@@ -64,8 +64,6 @@ impl<'a> ZoneCtx<'a> {
 }
 
 /// NXD009: a CNAME must be the only record at its owner name.
-pub struct CnameAndOtherData;
-
 pub static NXD009: RuleInfo = RuleInfo {
     id: "NXD009",
     name: "cname-and-other-data",
@@ -74,40 +72,30 @@ pub static NXD009: RuleInfo = RuleInfo {
     summary: "owner name holds a CNAME alongside other records",
 };
 
-impl Rule for CnameAndOtherData {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD009
-    }
-}
-
-impl ZoneRule for CnameAndOtherData {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let mut by_owner: BTreeMap<&Name, (usize, usize)> = BTreeMap::new();
-        for rec in ctx.records {
-            let entry = by_owner.entry(&rec.name).or_insert((0, 0));
-            if rec.rtype() == RType::Cname {
-                entry.0 += 1;
-            } else {
-                entry.1 += 1;
-            }
+fn cname_and_other_data(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let mut by_owner: BTreeMap<&Name, (usize, usize)> = BTreeMap::new();
+    for rec in ctx.records {
+        let entry = by_owner.entry(&rec.name).or_insert((0, 0));
+        if rec.rtype() == RType::Cname {
+            entry.0 += 1;
+        } else {
+            entry.1 += 1;
         }
-        for (owner, (cnames, others)) in by_owner {
-            if cnames > 0 && (others > 0 || cnames > 1) {
-                out.push(Diagnostic::new(
-                    &NXD009,
-                    ctx.loc(owner),
-                    format!("{owner} holds {cnames} CNAME record(s) and {others} other record(s)"),
-                    "an alias node must hold exactly one CNAME and nothing else",
-                ));
-            }
+    }
+    for (owner, (cnames, others)) in by_owner {
+        if cnames > 0 && (others > 0 || cnames > 1) {
+            out.push(Diagnostic::new(
+                &NXD009,
+                ctx.loc(owner),
+                format!("{owner} holds {cnames} CNAME record(s) and {others} other record(s)"),
+                "an alias node must hold exactly one CNAME and nothing else",
+            ));
         }
     }
 }
 
 /// NXD010: an in-zone CNAME pointing at a nonexistent node guarantees an
 /// NXDOMAIN for every query through the alias.
-pub struct DanglingCname;
-
 pub static NXD010: RuleInfo = RuleInfo {
     id: "NXD010",
     name: "dangling-cname",
@@ -116,40 +104,30 @@ pub static NXD010: RuleInfo = RuleInfo {
     summary: "CNAME targets an in-zone name that does not exist",
 };
 
-impl Rule for DanglingCname {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD010
-    }
-}
-
-impl ZoneRule for DanglingCname {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for rec in ctx.records {
-            let RData::Cname(target) = &rec.rdata else {
-                continue;
-            };
-            if !target.is_subdomain_of(ctx.apex) || ctx.below_cut(target) {
-                continue; // authority for the target lies elsewhere
-            }
-            if !ctx.node_exists(target) {
-                out.push(Diagnostic::new(
-                    &NXD010,
-                    ctx.loc(&rec.name),
-                    format!(
-                        "CNAME {} points at {}, which has no records in this zone",
-                        rec.name, target
-                    ),
-                    "repoint or remove the alias; every query through it now yields NXDOMAIN",
-                ));
-            }
+fn dangling_cname(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    for rec in ctx.records {
+        let RData::Cname(target) = &rec.rdata else {
+            continue;
+        };
+        if !target.is_subdomain_of(ctx.apex) || ctx.below_cut(target) {
+            continue; // authority for the target lies elsewhere
+        }
+        if !ctx.node_exists(target) {
+            out.push(Diagnostic::new(
+                &NXD010,
+                ctx.loc(&rec.name),
+                format!(
+                    "CNAME {} points at {}, which has no records in this zone",
+                    rec.name, target
+                ),
+                "repoint or remove the alias; every query through it now yields NXDOMAIN",
+            ));
         }
     }
 }
 
 /// NXD011: a delegation whose nameserver lives inside the delegated subtree
 /// needs glue in the parent zone, or the child zone is unreachable.
-pub struct DelegationWithoutGlue;
-
 pub static NXD011: RuleInfo = RuleInfo {
     id: "NXD011",
     name: "delegation-missing-glue",
@@ -158,47 +136,37 @@ pub static NXD011: RuleInfo = RuleInfo {
     summary: "in-bailiwick delegation NS has no glue address record",
 };
 
-impl Rule for DelegationWithoutGlue {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD011
-    }
-}
-
-impl ZoneRule for DelegationWithoutGlue {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for rec in ctx.records {
-            if rec.name == *ctx.apex {
-                continue; // apex NS is the zone's own server set, not a cut
-            }
-            let RData::Ns(nsdname) = &rec.rdata else {
-                continue;
-            };
-            if !nsdname.is_subdomain_of(&rec.name) {
-                continue; // out-of-bailiwick: resolved via its own zone
-            }
-            let has_glue = ctx
-                .records
-                .iter()
-                .any(|r| r.name == *nsdname && matches!(r.rtype(), RType::A | RType::Aaaa));
-            if !has_glue {
-                out.push(Diagnostic::new(
-                    &NXD011,
-                    ctx.loc(&rec.name),
-                    format!(
-                        "delegation {} NS {} is in-bailiwick but the zone carries no A/AAAA glue for it",
-                        rec.name, nsdname
-                    ),
-                    "add a glue address record for the nameserver below the cut",
-                ));
-            }
+fn delegation_without_glue(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    for rec in ctx.records {
+        if rec.name == *ctx.apex {
+            continue; // apex NS is the zone's own server set, not a cut
+        }
+        let RData::Ns(nsdname) = &rec.rdata else {
+            continue;
+        };
+        if !nsdname.is_subdomain_of(&rec.name) {
+            continue; // out-of-bailiwick: resolved via its own zone
+        }
+        let has_glue = ctx
+            .records
+            .iter()
+            .any(|r| r.name == *nsdname && matches!(r.rtype(), RType::A | RType::Aaaa));
+        if !has_glue {
+            out.push(Diagnostic::new(
+                &NXD011,
+                ctx.loc(&rec.name),
+                format!(
+                    "delegation {} NS {} is in-bailiwick but the zone carries no A/AAAA glue for it",
+                    rec.name, nsdname
+                ),
+                "add a glue address record for the nameserver below the cut",
+            ));
         }
     }
 }
 
 /// NXD012: every record of an RRset shares one TTL; mixed TTLs make caching
 /// behaviour undefined.
-pub struct RrsetTtlMismatch;
-
 pub static NXD012: RuleInfo = RuleInfo {
     id: "NXD012",
     name: "rrset-ttl-mismatch",
@@ -207,42 +175,32 @@ pub static NXD012: RuleInfo = RuleInfo {
     summary: "records of one RRset carry different TTLs",
 };
 
-impl Rule for RrsetTtlMismatch {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD012
+fn rrset_ttl_mismatch(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let mut ttls: BTreeMap<(&Name, u16), BTreeSet<u32>> = BTreeMap::new();
+    for rec in ctx.records {
+        ttls.entry((&rec.name, rec.rtype().to_u16()))
+            .or_default()
+            .insert(rec.ttl);
     }
-}
-
-impl ZoneRule for RrsetTtlMismatch {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let mut ttls: BTreeMap<(&Name, u16), BTreeSet<u32>> = BTreeMap::new();
-        for rec in ctx.records {
-            ttls.entry((&rec.name, rec.rtype().to_u16()))
-                .or_default()
-                .insert(rec.ttl);
-        }
-        for ((owner, rtype), set) in ttls {
-            if set.len() > 1 {
-                let listed: Vec<String> = set.iter().map(u32::to_string).collect();
-                out.push(Diagnostic::new(
-                    &NXD012,
-                    ctx.loc(owner),
-                    format!(
-                        "RRset {owner}/{} mixes TTLs {{{}}}",
-                        RType::from_u16(rtype),
-                        listed.join(", ")
-                    ),
-                    "give every record of the RRset the same TTL",
-                ));
-            }
+    for ((owner, rtype), set) in ttls {
+        if set.len() > 1 {
+            let listed: Vec<String> = set.iter().map(u32::to_string).collect();
+            out.push(Diagnostic::new(
+                &NXD012,
+                ctx.loc(owner),
+                format!(
+                    "RRset {owner}/{} mixes TTLs {{{}}}",
+                    RType::from_u16(rtype),
+                    listed.join(", ")
+                ),
+                "give every record of the RRset the same TTL",
+            ));
         }
     }
 }
 
 /// NXD013: zero TTLs are legal but defeat caching entirely; in a zone's
 /// standing data they are almost always a mistake.
-pub struct ZeroTtl;
-
 pub static NXD013: RuleInfo = RuleInfo {
     id: "NXD013",
     name: "zero-ttl",
@@ -251,35 +209,25 @@ pub static NXD013: RuleInfo = RuleInfo {
     summary: "standing zone record has TTL 0",
 };
 
-impl Rule for ZeroTtl {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD013
-    }
-}
-
-impl ZoneRule for ZeroTtl {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for rec in ctx.records {
-            if rec.ttl == 0 && rec.rtype() != RType::Soa {
-                out.push(Diagnostic::new(
-                    &NXD013,
-                    ctx.loc(&rec.name),
-                    format!(
-                        "{}/{} has TTL 0 — every query goes upstream",
-                        rec.name,
-                        rec.rtype()
-                    ),
-                    "use a short positive TTL instead of 0 unless the data truly changes per query",
-                ));
-            }
+fn zero_ttl(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    for rec in ctx.records {
+        if rec.ttl == 0 && rec.rtype() != RType::Soa {
+            out.push(Diagnostic::new(
+                &NXD013,
+                ctx.loc(&rec.name),
+                format!(
+                    "{}/{} has TTL 0 — every query goes upstream",
+                    rec.name,
+                    rec.rtype()
+                ),
+                "use a short positive TTL instead of 0 unless the data truly changes per query",
+            ));
         }
     }
 }
 
 /// NXD014: the SOA MINIMUM is the zone's negative TTL; 0 disables negative
 /// caching and very large values pin denials long after re-registration.
-pub struct NegativeTtlAnomaly;
-
 pub static NXD014: RuleInfo = RuleInfo {
     id: "NXD014",
     name: "negative-ttl-anomaly",
@@ -288,49 +236,42 @@ pub static NXD014: RuleInfo = RuleInfo {
     summary: "SOA MINIMUM (negative TTL) is 0 or above one day",
 };
 
-impl Rule for NegativeTtlAnomaly {
-    fn info(&self) -> &'static RuleInfo {
-        &NXD014
-    }
-}
-
-impl ZoneRule for NegativeTtlAnomaly {
-    fn check_zone(&self, ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
-        const ONE_DAY: u32 = 86_400;
-        for rec in ctx.records {
-            let RData::Soa(soa) = &rec.rdata else {
-                continue;
-            };
-            if soa.minimum == 0 {
-                out.push(Diagnostic::new(
-                    &NXD014,
-                    ctx.loc(&rec.name),
-                    "SOA MINIMUM is 0 — NXDOMAIN responses will never be cached".to_string(),
-                    "set MINIMUM to a short window (minutes to hours) to bound repeat queries",
-                ));
-            } else if soa.minimum > ONE_DAY {
-                out.push(Diagnostic::new(
-                    &NXD014,
-                    ctx.loc(&rec.name),
-                    format!("SOA MINIMUM {} exceeds one day", soa.minimum),
-                    "keep the negative TTL at one day or below so re-registrations propagate",
-                ));
-            }
+fn negative_ttl_anomaly(ctx: &ZoneCtx<'_>, out: &mut Vec<Diagnostic>) {
+    const ONE_DAY: u32 = 86_400;
+    for rec in ctx.records {
+        let RData::Soa(soa) = &rec.rdata else {
+            continue;
+        };
+        if soa.minimum == 0 {
+            out.push(Diagnostic::new(
+                &NXD014,
+                ctx.loc(&rec.name),
+                "SOA MINIMUM is 0 — NXDOMAIN responses will never be cached".to_string(),
+                "set MINIMUM to a short window (minutes to hours) to bound repeat queries",
+            ));
+        } else if soa.minimum > ONE_DAY {
+            out.push(Diagnostic::new(
+                &NXD014,
+                ctx.loc(&rec.name),
+                format!("SOA MINIMUM {} exceeds one day", soa.minimum),
+                "keep the negative TTL at one day or below so re-registrations propagate",
+            ));
         }
     }
 }
 
-/// All zone rules, in rule-ID order.
-pub fn zone_rules() -> Vec<Box<dyn ZoneRule>> {
-    vec![
-        Box::new(CnameAndOtherData),
-        Box::new(DanglingCname),
-        Box::new(DelegationWithoutGlue),
-        Box::new(RrsetTtlMismatch),
-        Box::new(ZeroTtl),
-        Box::new(NegativeTtlAnomaly),
-    ]
-}
+/// A zone rule's check: appends one diagnostic per violation in a zone.
+pub type ZoneCheck = fn(&ZoneCtx<'_>, &mut Vec<Diagnostic>);
+
+/// The zone pass, in rule-ID order.
+pub static ZONE_RULES: [Rule<ZoneCheck>; 6] = [
+    Rule::new(&NXD009, cname_and_other_data),
+    Rule::new(&NXD010, dangling_cname),
+    Rule::new(&NXD011, delegation_without_glue),
+    Rule::new(&NXD012, rrset_ttl_mismatch),
+    Rule::new(&NXD013, zero_ttl),
+    Rule::new(&NXD014, negative_ttl_anomaly),
+];
 
 #[cfg(test)]
 mod tests {
@@ -381,26 +322,28 @@ mod tests {
         ]
     }
 
-    fn run(rule: &dyn ZoneRule, records: &[Record]) -> Vec<Diagnostic> {
+    /// Runs the zone table's entry for rule `id` alone.
+    fn run(id: &str, records: &[Record]) -> Vec<Diagnostic> {
+        let rule = ZONE_RULES.iter().find(|r| r.info.id == id).unwrap();
         let apex = n("example.com");
         let ctx = ZoneCtx::new(&apex, records);
         let mut out = Vec::new();
-        rule.check_zone(&ctx, &mut out);
+        (rule.check)(&ctx, &mut out);
         out
     }
 
     #[test]
     fn clean_zone_passes_every_rule() {
         let records = clean_records();
-        for rule in zone_rules() {
+        for rule in &ZONE_RULES {
             let apex = n("example.com");
             let ctx = ZoneCtx::new(&apex, &records);
             let mut out = Vec::new();
-            rule.check_zone(&ctx, &mut out);
+            (rule.check)(&ctx, &mut out);
             assert!(
                 out.is_empty(),
                 "{} fired on a clean zone: {out:?}",
-                rule.info().id
+                rule.info.id
             );
         }
     }
@@ -413,7 +356,7 @@ mod tests {
             300,
             RData::A(Ipv4Addr::LOCALHOST),
         ));
-        let diags = run(&CnameAndOtherData, &records);
+        let diags = run("NXD009", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD009");
         assert_eq!(diags[0].rule.severity, Severity::High);
@@ -427,7 +370,7 @@ mod tests {
             300,
             RData::Cname(n("ns1.example.com")),
         ));
-        assert_eq!(run(&CnameAndOtherData, &records).len(), 1);
+        assert_eq!(run("NXD009", &records).len(), 1);
     }
 
     #[test]
@@ -438,7 +381,7 @@ mod tests {
             300,
             RData::Cname(n("gone.example.com")),
         ));
-        let diags = run(&DanglingCname, &records);
+        let diags = run("NXD010", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD010");
     }
@@ -468,7 +411,7 @@ mod tests {
             300,
             RData::Cname(n("deep.sub.example.com")),
         ));
-        assert!(run(&DanglingCname, &records).is_empty());
+        assert!(run("NXD010", &records).is_empty());
     }
 
     #[test]
@@ -479,7 +422,7 @@ mod tests {
             3600,
             RData::Ns(n("ns1.sub.example.com")),
         ));
-        let diags = run(&DelegationWithoutGlue, &records);
+        let diags = run("NXD011", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD011");
     }
@@ -502,7 +445,7 @@ mod tests {
             3600,
             RData::Ns(n("ns.hoster.net")),
         ));
-        assert!(run(&DelegationWithoutGlue, &records).is_empty());
+        assert!(run("NXD011", &records).is_empty());
     }
 
     #[test]
@@ -513,7 +456,7 @@ mod tests {
             600,
             RData::A(Ipv4Addr::new(192, 0, 2, 81)),
         ));
-        let diags = run(&RrsetTtlMismatch, &records);
+        let diags = run("NXD012", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD012");
         assert!(diags[0].message.contains("300") && diags[0].message.contains("600"));
@@ -527,7 +470,7 @@ mod tests {
             300,
             RData::A(Ipv4Addr::new(192, 0, 2, 81)),
         ));
-        assert!(run(&RrsetTtlMismatch, &records).is_empty());
+        assert!(run("NXD012", &records).is_empty());
     }
 
     #[test]
@@ -538,7 +481,7 @@ mod tests {
             0,
             RData::A(Ipv4Addr::LOCALHOST),
         ));
-        let diags = run(&ZeroTtl, &records);
+        let diags = run("NXD013", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD013");
     }
@@ -546,15 +489,15 @@ mod tests {
     #[test]
     fn nxd014_flags_zero_and_huge_minimum() {
         let mut records = vec![soa_record("example.com", 0)];
-        assert_eq!(run(&NegativeTtlAnomaly, &records).len(), 1);
+        assert_eq!(run("NXD014", &records).len(), 1);
         records = vec![soa_record("example.com", 172_800)];
-        let diags = run(&NegativeTtlAnomaly, &records);
+        let diags = run("NXD014", &records);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule.id, "NXD014");
     }
 
     #[test]
     fn nxd014_clean_on_paper_default() {
-        assert!(run(&NegativeTtlAnomaly, &clean_records()).is_empty());
+        assert!(run("NXD014", &clean_records()).is_empty());
     }
 }

@@ -1131,11 +1131,11 @@ fn analyzer_exp() {
         nxd_analyzer::catalog().len()
     );
     println!("diagnostics: high {high}  medium {medium}  low {low}");
-    if high == 0 {
-        println!("strict mode holds: the simulated ecosystem emits zero high-severity violations");
-    } else {
-        println!("STRICT MODE BROKEN: high-severity violations above");
-    }
+    assert_eq!(
+        high, 0,
+        "strict mode broken: the simulated ecosystem emitted high-severity violations"
+    );
+    println!("strict mode holds: the simulated ecosystem emits zero high-severity violations");
 
     // The paper's pathology on demand: disable RFC 2308 negative caching and
     // watch the trace rules light up.
@@ -1159,6 +1159,10 @@ fn analyzer_exp() {
         }
     }
     let ablation_report = analyzer.analyze_trace(&ablation);
+    assert!(
+        ablation_report.high_count() > 0,
+        "negative-cache ablation went unflagged: the trace rules no longer see re-queries"
+    );
     println!(
         "ablation (negative_cache off): {} requery-inside-negative-ttl violations in 20 queries",
         ablation_report.high_count()
@@ -1180,8 +1184,12 @@ fn stream_exp(worlds: &mut Worlds) {
 
     heading("E-STREAM — incremental window aggregates vs batch oracle (§4, live)");
     let era = worlds.era();
-    // Replay the era corpus in event-time order, fanned across producers —
-    // the live-sensor shape: mostly-ordered arrivals with interleaving.
+    // Replay the era corpus in event-time order, split into four sensor
+    // partitions (every fourth row) — the live-sensor shape: mostly-ordered
+    // arrivals with interleaving. One producer submits the partitions'
+    // 512-row batches round-robin; racing producer threads would let the
+    // scheduler decide which rows fall behind the watermark, and the late
+    // tally and sketch would change from run to run.
     let mut rows: Vec<(String, u32, u16, u8, u32)> = era
         .db
         .rows()
@@ -1199,7 +1207,7 @@ fn stream_exp(worlds: &mut Worlds) {
     let total_rows = rows.len();
 
     // Monthly windows with a sensor-federation lateness tolerance: batch
-    // interleaving across producers skews arrival order by a few batches,
+    // interleaving across partitions skews arrival order by a few batches,
     // so the tolerance must cover a few batches' worth of event time.
     let engine = StreamEngine::new(StreamConfig {
         window: WindowConfig {
@@ -1208,30 +1216,24 @@ fn stream_exp(worlds: &mut Worlds) {
         },
         ..StreamConfig::default()
     });
-    let producer_count = 4;
-    let producers: Vec<Box<dyn FnOnce(SieProducer) + Send>> = (0..producer_count)
-        .map(|p| {
-            let mine: Vec<_> = rows
-                .iter()
-                .skip(p)
-                .step_by(producer_count)
-                .cloned()
-                .collect();
-            Box::new(move |producer: SieProducer| {
-                for chunk in mine.chunks(512) {
-                    let mut shard = PassiveDb::new();
-                    for (name, day, sensor, rcode, count) in chunk {
-                        shard.record_str(name, *day, *sensor, RCode::from_u8(*rcode), *count);
-                    }
-                    producer.submit(shard);
+    let partitions = 4;
+    // Partition p's k-th batch is every fourth row, from the p-th, of the
+    // k-th block of 4 × 512 sorted rows.
+    let producer = move |producer: SieProducer| {
+        for block in rows.chunks(512 * partitions) {
+            for p in 0..partitions {
+                let mut shard = PassiveDb::new();
+                for (name, day, sensor, rcode, count) in block.iter().skip(p).step_by(partitions) {
+                    shard.record_str(name, *day, *sensor, RCode::from_u8(*rcode), *count);
                 }
-            }) as Box<dyn FnOnce(SieProducer) + Send>
-        })
-        .collect();
+                producer.submit(shard);
+            }
+        }
+    };
 
     let t0 = Instant::now();
-    let outcome =
-        collect_stream(producers, 2, 4, &engine).unwrap_or_else(|e| panic!("stream collect: {e}"));
+    let outcome = collect_stream(vec![producer], 2, 4, &engine)
+        .unwrap_or_else(|e| panic!("stream collect: {e}"));
     let elapsed = t0.elapsed();
     let snap = engine.snapshot();
 
@@ -1299,9 +1301,9 @@ fn stream_exp(worlds: &mut Worlds) {
     );
     let rate = total_rows as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
-        "ingested {} rows through {} producers in {:.3} ms — {:.0} rows/s",
+        "ingested {} rows as {} interleaved partitions in {:.3} ms — {:.0} rows/s",
         commas(total_rows as u64),
-        producer_count,
+        partitions,
         elapsed.as_secs_f64() * 1e3,
         rate,
     );

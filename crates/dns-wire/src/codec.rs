@@ -7,8 +7,6 @@
 
 use std::collections::HashMap;
 
-use bytes::{BufMut, BytesMut};
-
 use crate::error::WireError;
 use crate::name::Name;
 
@@ -22,7 +20,7 @@ const MAX_POINTER_TARGET: usize = 0x3FFF;
 
 /// Serializer for DNS messages.
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Suffix (as normalized presentation string) -> offset of its encoding.
     compress: HashMap<String, u16>,
     /// Whether to emit compression pointers at all.
@@ -32,7 +30,7 @@ pub struct WireWriter {
 impl WireWriter {
     pub fn new() -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             compress: HashMap::new(),
             compression_enabled: true,
         }
@@ -56,19 +54,19 @@ impl WireWriter {
     }
 
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     pub fn put_slice(&mut self, s: &[u8]) {
-        self.buf.put_slice(s);
+        self.buf.extend_from_slice(s);
     }
 
     /// Writes a name, emitting a compression pointer for the longest suffix
@@ -80,7 +78,7 @@ impl WireWriter {
             let key = suffix.as_str().to_string();
             if self.compression_enabled {
                 if let Some(&off) = self.compress.get(&key) {
-                    self.buf.put_u16(0xC000 | off);
+                    self.put_u16(0xC000 | off);
                     return Ok(());
                 }
             }
@@ -95,10 +93,10 @@ impl WireWriter {
             if label.len() > 63 {
                 return Err(WireError::LabelTooLong(label.len()));
             }
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+            self.put_u8(label.len() as u8);
+            self.put_slice(label.as_bytes());
         }
-        self.buf.put_u8(0); // root terminator
+        self.put_u8(0); // root terminator
         Ok(())
     }
 
@@ -107,6 +105,8 @@ impl WireWriter {
         if self.buf.len() > u16::MAX as usize {
             return Err(WireError::MessageTooLong(self.buf.len()));
         }
+        // An exact-size copy: callers keep encoded messages (e.g. a load
+        // generator's replay list), and the buffer starts at 512 bytes.
         Ok(self.buf.to_vec())
     }
 

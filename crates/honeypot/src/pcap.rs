@@ -6,7 +6,6 @@
 //! TCP/UDP with correct checksums; HTTP payloads carry the serialized
 //! request head.
 
-use bytes::{BufMut, BytesMut};
 use std::net::Ipv4Addr;
 
 use crate::packet::{Packet, Payload, Transport};
@@ -21,7 +20,7 @@ const DST_MAC: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x01];
 
 /// Serializes packets into a classic pcap byte stream.
 pub struct PcapWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Destination (server) address stamped into every frame.
     pub server_ip: Ipv4Addr,
     packets: u32,
@@ -31,14 +30,14 @@ impl PcapWriter {
     /// Creates a writer; `server_ip` is the honeypot host every recorded
     /// packet was sent to.
     pub fn new(server_ip: Ipv4Addr) -> Self {
-        let mut buf = BytesMut::with_capacity(4096);
-        buf.put_u32(PCAP_MAGIC);
-        buf.put_u16(2); // version major
-        buf.put_u16(4); // version minor
-        buf.put_u32(0); // thiszone
-        buf.put_u32(0); // sigfigs
-        buf.put_u32(65_535); // snaplen
-        buf.put_u32(LINKTYPE_ETHERNET);
+        let mut buf = Vec::with_capacity(4096);
+        buf.extend_from_slice(&PCAP_MAGIC.to_be_bytes());
+        buf.extend_from_slice(&2u16.to_be_bytes()); // version major
+        buf.extend_from_slice(&4u16.to_be_bytes()); // version minor
+        buf.extend_from_slice(&0u32.to_be_bytes()); // thiszone
+        buf.extend_from_slice(&0u32.to_be_bytes()); // sigfigs
+        buf.extend_from_slice(&65_535u32.to_be_bytes()); // snaplen
+        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_be_bytes());
         PcapWriter {
             buf,
             server_ip,
@@ -59,11 +58,14 @@ impl PcapWriter {
             Payload::Raw(bytes) => bytes.clone(),
         };
         let frame = build_frame(packet, self.server_ip, &payload);
-        self.buf.put_u32(packet.timestamp as u32); // ts_sec
-        self.buf.put_u32(0); // ts_usec
-        self.buf.put_u32(frame.len() as u32); // incl_len
-        self.buf.put_u32(frame.len() as u32); // orig_len
-        self.buf.put_slice(&frame);
+        self.buf
+            .extend_from_slice(&(packet.timestamp as u32).to_be_bytes()); // ts_sec
+        self.buf.extend_from_slice(&0u32.to_be_bytes()); // ts_usec
+        self.buf
+            .extend_from_slice(&(frame.len() as u32).to_be_bytes()); // incl_len
+        self.buf
+            .extend_from_slice(&(frame.len() as u32).to_be_bytes()); // orig_len
+        self.buf.extend_from_slice(&frame);
         self.packets += 1;
     }
 
@@ -76,16 +78,16 @@ impl PcapWriter {
 
     /// Finishes and returns the pcap bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 }
 
 fn build_frame(packet: &Packet, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-    let mut frame = BytesMut::with_capacity(54 + payload.len());
+    let mut frame = Vec::with_capacity(54 + payload.len());
     // Ethernet II.
-    frame.put_slice(&DST_MAC);
-    frame.put_slice(&SRC_MAC);
-    frame.put_u16(0x0800); // IPv4
+    frame.extend_from_slice(&DST_MAC);
+    frame.extend_from_slice(&SRC_MAC);
+    frame.extend_from_slice(&0x0800u16.to_be_bytes()); // IPv4
 
     let (proto, l4): (u8, Vec<u8>) = match packet.transport {
         Transport::Tcp => (6, build_tcp(packet, dst_ip, payload)),
@@ -94,55 +96,55 @@ fn build_frame(packet: &Packet, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
 
     // IPv4 header (no options).
     let total_len = 20 + l4.len();
-    let mut ip = BytesMut::with_capacity(20);
-    ip.put_u8(0x45); // version 4, IHL 5
-    ip.put_u8(0); // DSCP/ECN
-    ip.put_u16(total_len as u16);
-    ip.put_u16(packet.timestamp as u16); // identification (arbitrary, stable)
-    ip.put_u16(0x4000); // don't fragment
-    ip.put_u8(64); // TTL
-    ip.put_u8(proto);
-    ip.put_u16(0); // checksum placeholder
-    ip.put_slice(&packet.src_ip.octets());
-    ip.put_slice(&dst_ip.octets());
+    let mut ip = Vec::with_capacity(20);
+    ip.push(0x45); // version 4, IHL 5
+    ip.push(0); // DSCP/ECN
+    ip.extend_from_slice(&(total_len as u16).to_be_bytes());
+    ip.extend_from_slice(&(packet.timestamp as u16).to_be_bytes()); // identification (arbitrary, stable)
+    ip.extend_from_slice(&0x4000u16.to_be_bytes()); // don't fragment
+    ip.push(64); // TTL
+    ip.push(proto);
+    ip.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
+    ip.extend_from_slice(&packet.src_ip.octets());
+    ip.extend_from_slice(&dst_ip.octets());
     let csum = ones_complement_sum(&ip);
     ip[10] = (csum >> 8) as u8;
     ip[11] = (csum & 0xFF) as u8;
 
-    frame.put_slice(&ip);
-    frame.put_slice(&l4);
-    frame.to_vec()
+    frame.extend_from_slice(&ip);
+    frame.extend_from_slice(&l4);
+    frame
 }
 
 fn build_tcp(packet: &Packet, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-    let mut tcp = BytesMut::with_capacity(20 + payload.len());
-    tcp.put_u16(packet.src_port);
-    tcp.put_u16(packet.dst_port);
-    tcp.put_u32(1); // seq
-    tcp.put_u32(1); // ack
-    tcp.put_u8(0x50); // data offset 5
-    tcp.put_u8(0x18); // PSH|ACK
-    tcp.put_u16(0xFFFF); // window
-    tcp.put_u16(0); // checksum placeholder
-    tcp.put_u16(0); // urgent
-    tcp.put_slice(payload);
+    let mut tcp = Vec::with_capacity(20 + payload.len());
+    tcp.extend_from_slice(&packet.src_port.to_be_bytes());
+    tcp.extend_from_slice(&packet.dst_port.to_be_bytes());
+    tcp.extend_from_slice(&1u32.to_be_bytes()); // seq
+    tcp.extend_from_slice(&1u32.to_be_bytes()); // ack
+    tcp.push(0x50); // data offset 5
+    tcp.push(0x18); // PSH|ACK
+    tcp.extend_from_slice(&0xFFFFu16.to_be_bytes()); // window
+    tcp.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
+    tcp.extend_from_slice(&0u16.to_be_bytes()); // urgent
+    tcp.extend_from_slice(payload);
     let csum = l4_checksum(packet.src_ip, dst_ip, 6, &tcp);
     tcp[16] = (csum >> 8) as u8;
     tcp[17] = (csum & 0xFF) as u8;
-    tcp.to_vec()
+    tcp
 }
 
 fn build_udp(packet: &Packet, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-    let mut udp = BytesMut::with_capacity(8 + payload.len());
-    udp.put_u16(packet.src_port);
-    udp.put_u16(packet.dst_port);
-    udp.put_u16(8 + payload.len() as u16);
-    udp.put_u16(0); // checksum placeholder
-    udp.put_slice(payload);
+    let mut udp = Vec::with_capacity(8 + payload.len());
+    udp.extend_from_slice(&packet.src_port.to_be_bytes());
+    udp.extend_from_slice(&packet.dst_port.to_be_bytes());
+    udp.extend_from_slice(&(8 + payload.len() as u16).to_be_bytes());
+    udp.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
+    udp.extend_from_slice(payload);
     let csum = l4_checksum(packet.src_ip, dst_ip, 17, &udp);
     udp[6] = (csum >> 8) as u8;
     udp[7] = (csum & 0xFF) as u8;
-    udp.to_vec()
+    udp
 }
 
 /// RFC 1071 checksum over a header (with its checksum field zeroed).
@@ -163,13 +165,13 @@ fn ones_complement_sum(data: &[u8]) -> u16 {
 
 /// TCP/UDP checksum including the IPv4 pseudo-header.
 fn l4_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
-    let mut pseudo = BytesMut::with_capacity(12 + segment.len());
-    pseudo.put_slice(&src.octets());
-    pseudo.put_slice(&dst.octets());
-    pseudo.put_u8(0);
-    pseudo.put_u8(proto);
-    pseudo.put_u16(segment.len() as u16);
-    pseudo.put_slice(segment);
+    let mut pseudo = Vec::with_capacity(12 + segment.len());
+    pseudo.extend_from_slice(&src.octets());
+    pseudo.extend_from_slice(&dst.octets());
+    pseudo.push(0);
+    pseudo.push(proto);
+    pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
+    pseudo.extend_from_slice(segment);
     ones_complement_sum(&pseudo)
 }
 

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use bytes::{BufMut, BytesMut};
-
 use crate::uri::Uri;
 
 /// HTTP methods the honeypot sees.
@@ -155,21 +153,21 @@ impl HttpRequest {
 
     /// Serializes the head section to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(256);
-        buf.put_slice(self.method.as_str().as_bytes());
-        buf.put_u8(b' ');
-        buf.put_slice(self.uri.to_string().as_bytes());
-        buf.put_u8(b' ');
-        buf.put_slice(self.version.as_bytes());
-        buf.put_slice(b"\r\n");
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(self.method.as_str().as_bytes());
+        buf.push(b' ');
+        buf.extend_from_slice(self.uri.to_string().as_bytes());
+        buf.push(b' ');
+        buf.extend_from_slice(self.version.as_bytes());
+        buf.extend_from_slice(b"\r\n");
         for (name, value) in &self.headers {
-            buf.put_slice(name.as_bytes());
-            buf.put_slice(b": ");
-            buf.put_slice(value.as_bytes());
-            buf.put_slice(b"\r\n");
+            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(b": ");
+            buf.extend_from_slice(value.as_bytes());
+            buf.extend_from_slice(b"\r\n");
         }
-        buf.put_slice(b"\r\n");
-        buf.to_vec()
+        buf.extend_from_slice(b"\r\n");
+        buf
     }
 
     /// Parses a request head from wire bytes (ignores any body).
@@ -242,14 +240,14 @@ impl HttpResponse {
     }
 
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(128 + self.body.len());
-        buf.put_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).as_bytes());
+        let mut buf = Vec::with_capacity(128 + self.body.len());
+        buf.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).as_bytes());
         for (n, v) in &self.headers {
-            buf.put_slice(format!("{n}: {v}\r\n").as_bytes());
+            buf.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
         }
-        buf.put_slice(b"\r\n");
-        buf.put_slice(&self.body);
-        buf.to_vec()
+        buf.extend_from_slice(b"\r\n");
+        buf.extend_from_slice(&self.body);
+        buf
     }
 }
 

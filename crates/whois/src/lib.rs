@@ -26,10 +26,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Why a registration span ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanEnd {
     /// Lapsed and was released.
     Expired,
@@ -40,7 +38,7 @@ pub enum SpanEnd {
 }
 
 /// One registration span of a domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhoisRecord {
     /// Registrable domain, normalized lowercase without trailing dot.
     pub domain: String,
@@ -57,7 +55,7 @@ pub struct WhoisRecord {
 }
 
 /// A historic WHOIS database: every registration span ever recorded.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct HistoricWhoisDb {
     records: HashMap<String, Vec<WhoisRecord>>,
     total: u64,

@@ -7,8 +7,8 @@
 //! nxd-analyze demo [--json]             # analyze a deliberately broken response
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = diagnostics found (or High diagnostics for
-//! `zonefile`/`message`), 2 = usage or input error.
+//! Exit codes: 0 = clean (and `rules`), 1 = any diagnostic found, 2 = usage
+//! or input error.
 
 use nxdomain::analyzer::{catalog, Analyzer, Report};
 use nxdomain::sim::parse_records;
@@ -147,7 +147,9 @@ fn cmd_demo(json: bool) -> i32 {
 
 fn decode_hex(s: &str) -> Option<Vec<u8>> {
     let s: String = s.chars().filter(|c| !c.is_ascii_whitespace()).collect();
-    if !s.len().is_multiple_of(2) {
+    // ASCII hex digits only, so the two-byte slices below fall on char
+    // boundaries and `from_str_radix` never sees a sign.
+    if !s.len().is_multiple_of(2) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     (0..s.len())
