@@ -48,6 +48,7 @@ use nxd_dns_wire::{Message, Name, Record, WireError};
 
 pub use diagnostic::{Diagnostic, Location, Report, RuleInfo, Section, Severity};
 pub use rules::{catalog, Rule};
+pub use trace::TraceCtx;
 pub use wire::WireCtx;
 pub use zone::ZoneCtx;
 
@@ -101,9 +102,10 @@ impl Analyzer {
 
     /// Runs the trace passes over a resolver event stream.
     pub fn analyze_trace(&self, events: &[ResolveEvent]) -> Report {
+        let ctx = TraceCtx::new(events);
         let mut out = Vec::new();
         for rule in &trace::TRACE_RULES {
-            (rule.check)(events, &mut out);
+            (rule.check)(&ctx, &mut out);
         }
         Report::new(out)
     }

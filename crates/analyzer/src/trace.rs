@@ -30,21 +30,29 @@ struct NegWindow {
     expires: u64,
 }
 
-/// Fresh-NXDOMAIN windows per qname, built once and shared by the rules.
-fn negative_windows(events: &[ResolveEvent]) -> HashMap<&Name, Vec<NegWindow>> {
-    let mut windows: HashMap<&Name, Vec<NegWindow>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if ev.rcode == RCode::NxDomain && !ev.from_cache {
-            if let Some(ttl) = ev.negative_ttl {
-                windows.entry(&ev.qname).or_default().push(NegWindow {
-                    source: i,
-                    opened_at: ev.at.0,
-                    expires: ev.at.0 + ttl as u64,
-                });
+/// Everything a trace rule can see: the event stream plus its
+/// fresh-NXDOMAIN windows per qname, built once and shared by the rules.
+pub struct TraceCtx<'a> {
+    pub events: &'a [ResolveEvent],
+    windows: HashMap<&'a Name, Vec<NegWindow>>,
+}
+
+impl<'a> TraceCtx<'a> {
+    pub fn new(events: &'a [ResolveEvent]) -> Self {
+        let mut windows: HashMap<&Name, Vec<NegWindow>> = HashMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            if ev.rcode == RCode::NxDomain && !ev.from_cache {
+                if let Some(ttl) = ev.negative_ttl {
+                    windows.entry(&ev.qname).or_default().push(NegWindow {
+                        source: i,
+                        opened_at: ev.at.0,
+                        expires: ev.at.0 + ttl as u64,
+                    });
+                }
             }
         }
+        TraceCtx { events, windows }
     }
-    windows
 }
 
 /// NXD015: a query for a name whose NXDOMAIN is still within its negative
@@ -57,8 +65,8 @@ pub static NXD015: RuleInfo = RuleInfo {
     summary: "upstream re-query for a name inside its negative-TTL window",
 };
 
-fn requery_inside_negative_ttl(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-    let windows = negative_windows(events);
+fn requery_inside_negative_ttl(ctx: &TraceCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let (events, windows) = (ctx.events, &ctx.windows);
     for (i, ev) in events.iter().enumerate() {
         if ev.from_cache || ev.upstream_queries == 0 {
             continue;
@@ -91,8 +99,8 @@ pub static NXD016: RuleInfo = RuleInfo {
     summary: "negative answer served from cache after its TTL expired",
 };
 
-fn stale_negative_serve(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-    let windows = negative_windows(events);
+fn stale_negative_serve(ctx: &TraceCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let (events, windows) = (ctx.events, &ctx.windows);
     for (i, ev) in events.iter().enumerate() {
         if !(ev.from_cache && ev.rcode == RCode::NxDomain) {
             continue;
@@ -129,14 +137,14 @@ pub static NXD017: RuleInfo = RuleInfo {
     summary: "upstream query for a name below a domain known not to exist",
 };
 
-fn subtree_query_after_nxdomain(events: &[ResolveEvent], out: &mut Vec<Diagnostic>) {
-    let windows = negative_windows(events);
+fn subtree_query_after_nxdomain(ctx: &TraceCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let (events, windows) = (ctx.events, &ctx.windows);
     for (i, ev) in events.iter().enumerate() {
         if ev.from_cache || ev.upstream_queries == 0 {
             continue;
         }
         // Strict ancestors only: the exact name is NXD015's business.
-        for (ancestor, per_name) in &windows {
+        for (ancestor, per_name) in windows {
             if **ancestor == ev.qname || !ev.qname.is_subdomain_of(ancestor) {
                 continue;
             }
@@ -159,7 +167,7 @@ fn subtree_query_after_nxdomain(events: &[ResolveEvent], out: &mut Vec<Diagnosti
 }
 
 /// A trace rule's check: appends one diagnostic per violation in a trace.
-pub type TraceCheck = fn(&[ResolveEvent], &mut Vec<Diagnostic>);
+pub type TraceCheck = fn(&TraceCtx<'_>, &mut Vec<Diagnostic>);
 
 /// The trace pass, in rule-ID order.
 pub static TRACE_RULES: [Rule<TraceCheck>; 3] = [
@@ -201,7 +209,7 @@ mod tests {
     fn run(id: &str, events: &[ResolveEvent]) -> Vec<Diagnostic> {
         let rule = TRACE_RULES.iter().find(|r| r.info.id == id).unwrap();
         let mut out = Vec::new();
-        (rule.check)(events, &mut out);
+        (rule.check)(&TraceCtx::new(events), &mut out);
         out
     }
 

@@ -25,12 +25,10 @@
     )
 )]
 
-pub mod bloom;
 pub mod bucket;
 
 use std::collections::HashMap;
 
-pub use bloom::BloomFilter;
 pub use bucket::TokenBucket;
 
 /// Threat categories tracked by the blocklist (Fig. 8).
@@ -60,13 +58,10 @@ impl ThreatCategory {
     }
 }
 
-/// The blocklist database: a category map fronted by a Bloom filter so
-/// the overwhelmingly-miss cross-reference workload (§5.2) answers "not
-/// listed" from a few cache lines without probing the map.
+/// The blocklist database: a map from lowercase domain to category.
 #[derive(Debug, Default, Clone)]
 pub struct Blocklist {
     entries: HashMap<String, ThreatCategory>,
-    filter: BloomFilter,
 }
 
 impl Blocklist {
@@ -74,38 +69,18 @@ impl Blocklist {
         Self::default()
     }
 
-    /// Adds or updates an entry (normalized to lowercase). Keeps the Bloom
-    /// prefilter in sync, rebuilding it at a larger size when the list
-    /// outgrows its bits-per-key budget.
+    /// Adds or updates an entry (normalized to lowercase).
     pub fn insert(&mut self, domain: &str, category: ThreatCategory) {
-        let key = domain.to_ascii_lowercase();
-        self.filter.insert(&key);
-        self.entries.insert(key, category);
-        if self.filter.wants_rebuild(self.entries.len()) {
-            let mut rebuilt = BloomFilter::with_capacity(self.entries.len() * 2);
-            for existing in self.entries.keys() {
-                rebuilt.insert(existing);
-            }
-            self.filter = rebuilt;
-        }
+        self.entries.insert(domain.to_ascii_lowercase(), category);
     }
 
     /// Looks up a domain. Already-lowercase inputs (the common case — the
     /// passive store normalizes qnames) probe directly; only mixed-case
-    /// queries pay for a lowercased copy. The Bloom prefilter short-circuits
-    /// definite misses before the map is touched; it never produces false
-    /// negatives, so listed domains are always found.
+    /// queries pay for a lowercased copy.
     pub fn lookup(&self, domain: &str) -> Option<ThreatCategory> {
         if domain.bytes().any(|b| b.is_ascii_uppercase()) {
-            let key = domain.to_ascii_lowercase();
-            if !self.filter.may_contain(&key) {
-                return None;
-            }
-            self.entries.get(&key).copied()
+            self.entries.get(&domain.to_ascii_lowercase()).copied()
         } else {
-            if !self.filter.may_contain(domain) {
-                return None;
-            }
             self.entries.get(domain).copied()
         }
     }

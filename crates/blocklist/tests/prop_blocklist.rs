@@ -1,12 +1,11 @@
-//! Property tests for the Bloom-prefiltered blocklist: the filter may
-//! only ever short-circuit *misses* — every inserted domain must remain
-//! findable (zero false negatives), and the prefiltered lookup path must
-//! be observationally identical to a plain map lookup for any key set,
-//! query set, and casing.
+//! Property tests for the blocklist: every inserted domain must remain
+//! findable, and lookups and cross-references must be observationally
+//! identical to a plain lowercase map for any key set, query set, and
+//! casing.
 
 use std::collections::HashMap;
 
-use nxd_blocklist::{Blocklist, BloomFilter, ThreatCategory};
+use nxd_blocklist::{Blocklist, ThreatCategory};
 use proptest::prelude::*;
 
 const TLDS: [&str; 4] = ["com", "net", "ru", "org"];
@@ -23,25 +22,9 @@ fn arb_entries() -> impl Strategy<Value = Vec<(String, usize)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Zero false negatives: every key ever inserted into the raw filter is
-    /// reported as possibly present, at every fill level (including right
-    /// past rebuild thresholds).
-    #[test]
-    fn filter_never_forgets(keys in proptest::collection::vec(arb_domain(), 1..300)) {
-        let mut filter = BloomFilter::with_capacity(8);
-        for (i, key) in keys.iter().enumerate() {
-            filter.insert(key);
-            // Every previously inserted key must still be visible, even
-            // though the filter was sized for far fewer.
-            for seen in &keys[..=i] {
-                prop_assert!(filter.may_contain(seen), "lost {}", seen);
-            }
-        }
-    }
-
-    /// The prefiltered blocklist behaves exactly like a plain map: listed
-    /// domains (any casing) resolve to their category, unlisted domains to
-    /// None, across incremental inserts and rebuilds.
+    /// The blocklist behaves exactly like a plain map: listed domains (any
+    /// casing) resolve to their category, unlisted domains to None, across
+    /// incremental inserts and category updates.
     #[test]
     fn prefiltered_lookup_matches_plain_map(
         entries in arb_entries(),
@@ -55,15 +38,14 @@ proptest! {
             reference.insert(domain.to_ascii_lowercase(), cat);
         }
         prop_assert_eq!(list.len(), reference.len());
-        // Inserted keys are always found — the zero-false-negative claim
-        // end to end, including the mixed-case lookup path.
+        // Inserted keys are always found, including on the mixed-case
+        // lookup path.
         for (domain, _) in &entries {
             let want = reference.get(&domain.to_ascii_lowercase()).copied();
             prop_assert_eq!(list.lookup(domain), want);
             prop_assert_eq!(list.lookup(&domain.to_ascii_uppercase()), want);
         }
-        // Arbitrary probes agree with the reference map (false positives in
-        // the filter fall through to the map and come back correct).
+        // Arbitrary probes agree with the reference map.
         for probe in &probes {
             prop_assert_eq!(
                 list.lookup(probe),
@@ -72,7 +54,7 @@ proptest! {
         }
     }
 
-    /// Cross-reference counts are unchanged by the prefilter.
+    /// Cross-reference counts match the reference map's.
     #[test]
     fn cross_reference_matches_reference_counts(
         entries in arb_entries(),

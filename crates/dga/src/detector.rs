@@ -124,12 +124,8 @@ impl DgaDetector {
     }
 
     /// Extracts features from a registrable domain (`label.tld`) or a bare
-    /// label. Single streaming pass — no intermediate byte buffer. Labels
-    /// that are pure lowercase ASCII letters (the overwhelming majority of
-    /// DNS qnames, SWAR-classified in one pass) skip the per-byte
-    /// alphanumeric/digit tests; the general path handles everything else.
-    /// Both paths accumulate in the same order, so features — and detector
-    /// scores — are bit-identical regardless of which ran.
+    /// label. Single streaming pass over the label's bytes — no
+    /// intermediate byte buffer.
     pub fn features(domain: &str) -> Features {
         let label = domain.split('.').next().unwrap_or(domain);
 
@@ -139,46 +135,30 @@ impl DgaDetector {
         let mut vowels = 0u32;
         let mut run = 0u32;
         let mut max_run = 0u32;
-        if nxd_swar::all_ascii_lowercase(label.as_bytes()) {
-            // Every byte is a letter: no alnum filter, no digit branch, and
-            // the vowel total comes from the SWAR popcount kernel.
-            alnum = label.len() as u32;
-            vowels = nxd_swar::count_vowels(label.as_bytes()) as u32;
-            for b in label.bytes() {
-                counts[(b - b'a') as usize] += 1;
-                if matches!(b, b'a' | b'e' | b'i' | b'o' | b'u') {
-                    run = 0;
-                } else {
-                    run += 1;
-                }
-                max_run = max_run.max(run);
+        for b in label.bytes() {
+            // Lowercase letters and digits only — the same significant set
+            // `bigram_anomaly` walks (uppercase never reaches the detector:
+            // the passive store normalizes qnames).
+            if !(b.is_ascii_lowercase() || b.is_ascii_digit()) {
+                continue;
             }
-        } else {
-            for b in label.bytes() {
-                // Lowercase letters and digits only — the same significant
-                // set `bigram_anomaly` walks (uppercase never reaches the
-                // detector: the passive store normalizes qnames).
-                if !(b.is_ascii_lowercase() || b.is_ascii_digit()) {
-                    continue;
-                }
-                alnum += 1;
-                let idx = if b.is_ascii_digit() {
-                    (b - b'0') as usize + 26
-                } else {
-                    (b - b'a') as usize
-                };
-                counts[idx] += 1;
-                if b.is_ascii_digit() {
-                    digits += 1;
-                    run += 1; // digits break pronounceability like consonants
-                } else if matches!(b, b'a' | b'e' | b'i' | b'o' | b'u') {
-                    vowels += 1;
-                    run = 0;
-                } else {
-                    run += 1;
-                }
-                max_run = max_run.max(run);
+            alnum += 1;
+            let idx = if b.is_ascii_digit() {
+                (b - b'0') as usize + 26
+            } else {
+                (b - b'a') as usize
+            };
+            counts[idx] += 1;
+            if b.is_ascii_digit() {
+                digits += 1;
+                run += 1; // digits break pronounceability like consonants
+            } else if matches!(b, b'a' | b'e' | b'i' | b'o' | b'u') {
+                vowels += 1;
+                run = 0;
+            } else {
+                run += 1;
             }
+            max_run = max_run.max(run);
         }
         let len = alnum.max(1) as f64;
         let entropy: f64 = counts
@@ -251,31 +231,20 @@ impl DgaDetector {
 /// Average per-bigram negative log-likelihood under the benign model, minus
 /// a baseline; ≥0 and larger for unusual character transitions. Streams the
 /// label's lowercase bytes through the dense table — no buffer, no hashing.
-/// Pure-lowercase labels (SWAR-classified in one pass) walk adjacent byte
-/// pairs with no per-byte filter branch; both paths add the same cells in
-/// the same order, so the score is bit-identical either way.
 fn bigram_anomaly(label: &str) -> f64 {
     let table = benign_bigram_table();
     let mut total = 0.0;
     let mut n = 0u32;
-    let bytes = label.as_bytes();
-    if nxd_swar::all_ascii_lowercase(bytes) {
-        for pair in bytes.windows(2) {
-            total += table[(pair[0] - b'a') as usize][(pair[1] - b'a') as usize];
+    let mut prev: Option<u8> = None;
+    for b in label.bytes() {
+        if !b.is_ascii_lowercase() {
+            continue;
+        }
+        if let Some(p) = prev {
+            total += table[(p - b'a') as usize][(b - b'a') as usize];
             n += 1;
         }
-    } else {
-        let mut prev: Option<u8> = None;
-        for &b in bytes {
-            if !b.is_ascii_lowercase() {
-                continue;
-            }
-            if let Some(p) = prev {
-                total += table[(p - b'a') as usize][(b - b'a') as usize];
-                n += 1;
-            }
-            prev = Some(b);
-        }
+        prev = Some(b);
     }
     if n == 0 {
         return 0.0;
@@ -283,66 +252,34 @@ fn bigram_anomaly(label: &str) -> f64 {
     (total / n as f64 - 4.0).max(0.0)
 }
 
-/// Fraction of the label covered by dictionary words of length ≥ 4 (greedy).
+/// Fraction of the label's chars covered by dictionary words of length
+/// ≥ 4 (greedy, longest match first). Dictionary words are ASCII, so a
+/// match is a run of ASCII bytes: the loop walks byte offsets, and
+/// `label.get(i..j)` yields nothing for a window that starts or ends inside
+/// a multi-byte char. Greedy segments are disjoint, so summing match
+/// lengths counts covered chars.
 fn word_coverage(label: &str) -> f64 {
     let words = word_set();
-    if label.is_ascii() {
-        // Byte-slice fast path: char and byte indices coincide, so the
-        // greedy matcher can probe `&label[i..j]` directly with no per-probe
-        // allocation. Greedy segments are disjoint, so summing match
-        // lengths equals counting covered positions.
-        let n = label.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut covered = 0usize;
-        let mut i = 0;
-        while i < n {
-            let mut matched = 0;
-            // Longest match first.
-            for j in ((i + 4)..=n.min(i + 12)).rev() {
-                if words.contains(&label[i..j]) {
-                    matched = j - i;
-                    break;
-                }
-            }
-            if matched > 0 {
-                covered += matched;
-                i += matched;
-            } else {
-                i += 1;
-            }
-        }
-        return covered as f64 / n as f64;
-    }
-    // Non-ASCII labels take the original char-indexed path (dictionary
-    // words are ASCII, so matches are only possible on ASCII runs).
-    let chars: Vec<char> = label.chars().collect();
-    let n = chars.len();
-    if n == 0 {
+    let chars = label.chars().count();
+    if chars == 0 {
         return 0.0;
     }
-    let mut covered = vec![false; n];
+    let n = label.len();
+    let mut covered = 0usize;
     let mut i = 0;
     while i < n {
-        let mut matched = 0;
-        for j in ((i + 4)..=n.min(i + 12)).rev() {
-            let slice: String = chars[i..j].iter().collect();
-            if words.contains(slice.as_str()) {
-                matched = j - i;
-                break;
-            }
-        }
+        let matched = ((i + 4)..=n.min(i + 12))
+            .rev()
+            .find(|&j| label.get(i..j).is_some_and(|w| words.contains(w)))
+            .map_or(0, |j| j - i);
         if matched > 0 {
-            for c in covered.iter_mut().skip(i).take(matched) {
-                *c = true;
-            }
+            covered += matched;
             i += matched;
         } else {
             i += 1;
         }
     }
-    covered.iter().filter(|&&c| c).count() as f64 / n as f64
+    covered as f64 / chars as f64
 }
 
 /// Dense benign-bigram cost table: cell `[a][b]` holds the Laplace-smoothed
@@ -546,10 +483,11 @@ mod tests {
         assert!(probed > 400);
     }
 
-    /// The ASCII byte-slice fast path of `word_coverage` agrees with the
-    /// char-indexed reference on representative labels.
+    /// The byte-offset loop of `word_coverage` agrees bit-for-bit with a
+    /// char-indexed reference, on ASCII labels and on non-ASCII ones whose
+    /// byte and char offsets diverge.
     #[test]
-    fn word_coverage_ascii_fast_path_matches_char_path() {
+    fn word_coverage_matches_char_indexed_reference() {
         let words = word_set();
         let reference = |label: &str| -> f64 {
             let chars: Vec<char> = label.chars().collect();
@@ -588,101 +526,19 @@ mod tests {
             "abc",
             "wordword",
             "caf\u{e9}dragon",
+            "\u{e9}silverdragon",
+            "silver\u{e9}dragon\u{e9}",
+            "p\u{430}ypal",
+            "p\u{430}ypalsecurelogin",
+            "b\u{fc}cherwelt",
+            "\u{65e5}\u{672c}dragonword",
+            "\u{e9}",
         ] {
             assert_eq!(
                 word_coverage(label).to_bits(),
                 reference(label).to_bits(),
                 "{label}"
             );
-        }
-    }
-
-    /// The SWAR-gated lowercase fast paths of `features` and
-    /// `bigram_anomaly` are bit-identical to the general byte-filter path
-    /// on every input shape: pure-lowercase (fast path taken), mixed-case,
-    /// digits, separators, non-ASCII, and empty.
-    #[test]
-    fn swar_fast_paths_match_general_path_bitwise() {
-        // The general path, verbatim (pre-fast-path implementation).
-        let features_ref = |domain: &str| -> Features {
-            let label = domain.split('.').next().unwrap_or(domain);
-            let mut counts = [0u32; 36];
-            let mut alnum = 0u32;
-            let mut digits = 0u32;
-            let mut vowels = 0u32;
-            let mut run = 0u32;
-            let mut max_run = 0u32;
-            for b in label.bytes() {
-                if !(b.is_ascii_lowercase() || b.is_ascii_digit()) {
-                    continue;
-                }
-                alnum += 1;
-                let idx = if b.is_ascii_digit() {
-                    (b - b'0') as usize + 26
-                } else {
-                    (b - b'a') as usize
-                };
-                counts[idx] += 1;
-                if b.is_ascii_digit() {
-                    digits += 1;
-                    run += 1;
-                } else if matches!(b, b'a' | b'e' | b'i' | b'o' | b'u') {
-                    vowels += 1;
-                    run = 0;
-                } else {
-                    run += 1;
-                }
-                max_run = max_run.max(run);
-            }
-            let len = alnum.max(1) as f64;
-            let entropy: f64 = counts
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| {
-                    let p = c as f64 / len;
-                    -p * p.log2()
-                })
-                .sum();
-            let letters = (alnum - digits).max(1) as f64;
-            let vowel_distance = (vowels as f64 / letters - 0.39).abs();
-            Features {
-                length: len,
-                entropy,
-                digit_ratio: digits as f64 / len,
-                vowel_distance,
-                max_consonant_run: max_run as f64,
-                bigram_score: bigram_anomaly(label),
-                word_coverage: word_coverage(label),
-            }
-        };
-        let mut cases: Vec<String> = vec![
-            "".into(),
-            "a".into(),
-            "google.com".into(),
-            "xkqzvwpjh.com".into(),
-            "MIXED-Case99.net".into(),
-            "digits123.org".into(),
-            "caf\u{e9}.com".into(),
-            "a-b-c.io".into(),
-        ];
-        for fam in all_families() {
-            cases.extend(fam.generate(17, (2023, 2, 2), 40));
-        }
-        cases.extend(BENIGN_DOMAINS.iter().take(100).map(|s| s.to_string()));
-        for name in &cases {
-            let fast = DgaDetector::features(name);
-            let slow = features_ref(name);
-            for (a, b) in [
-                (fast.length, slow.length),
-                (fast.entropy, slow.entropy),
-                (fast.digit_ratio, slow.digit_ratio),
-                (fast.vowel_distance, slow.vowel_distance),
-                (fast.max_consonant_run, slow.max_consonant_run),
-                (fast.bigram_score, slow.bigram_score),
-                (fast.word_coverage, slow.word_coverage),
-            ] {
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}");
-            }
         }
     }
 

@@ -101,13 +101,12 @@ pub fn damerau_levenshtein_bounded(
 /// This is the question the typo-squat scan asks for every (label, brand)
 /// pair, and at bound 1 the full band is overkill: a distance-≤1 pair is
 /// either equal, one substitution, one adjacent transposition, or one
-/// indel — all decidable from the longest common prefix and suffix, which
-/// the SWAR kernels find eight bytes per step. ASCII-only fast path (byte
-/// positions are char positions); anything else falls back to the banded
-/// matrix.
+/// indel — all decidable from the longest common prefix and suffix.
+/// ASCII-only fast path (byte positions are char positions); anything
+/// else falls back to the banded matrix.
 pub fn within_one_edit(a: &str, b: &str, scratch: &mut EditScratch) -> Option<usize> {
     let (x, y) = (a.as_bytes(), b.as_bytes());
-    if !nxd_swar::is_ascii(x) || !nxd_swar::is_ascii(y) {
+    if !x.is_ascii() || !y.is_ascii() {
         return damerau_levenshtein_bounded(a, b, 1, scratch);
     }
     // Orient so x is the longer side.
@@ -119,8 +118,13 @@ pub fn within_one_edit(a: &str, b: &str, scratch: &mut EditScratch) -> Option<us
     if x == y {
         return Some(0);
     }
-    let p = nxd_swar::common_prefix_len(x, y);
-    let s = nxd_swar::common_suffix_len(x, y);
+    let p = x.iter().zip(y).take_while(|(c, d)| c == d).count();
+    let s = x
+        .iter()
+        .rev()
+        .zip(y.iter().rev())
+        .take_while(|(c, d)| c == d)
+        .count();
     if n == m {
         // One substitution: a single mismatching position, i.e. the prefix
         // and suffix (which cannot overlap across the mismatch) cover all

@@ -85,7 +85,7 @@ proptest! {
         }
     }
 
-    /// The SWAR prefix/suffix decision procedure is exactly the banded
+    /// The prefix/suffix decision procedure is exactly the banded
     /// matrix at bound 1, for arbitrary ASCII pairs.
     #[test]
     fn within_one_edit_matches_banded_matrix(a in "[a-z0-9-]{0,12}", b in "[a-z0-9-]{0,12}") {
