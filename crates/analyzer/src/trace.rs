@@ -7,7 +7,7 @@
 //! cache (RFC 2308 §5), and — for an RFC 8020-aware resolver — so must
 //! queries for anything beneath the nonexistent name.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nxd_dns_sim::resolver::ResolveEvent;
 use nxd_dns_wire::{Name, RCode};
@@ -32,14 +32,16 @@ struct NegWindow {
 
 /// Everything a trace rule can see: the event stream plus its
 /// fresh-NXDOMAIN windows per qname, built once and shared by the rules.
+/// The windows are keyed in name order, so a rule that walks them reports
+/// in the same order on every run.
 pub struct TraceCtx<'a> {
     pub events: &'a [ResolveEvent],
-    windows: HashMap<&'a Name, Vec<NegWindow>>,
+    windows: BTreeMap<&'a Name, Vec<NegWindow>>,
 }
 
 impl<'a> TraceCtx<'a> {
     pub fn new(events: &'a [ResolveEvent]) -> Self {
-        let mut windows: HashMap<&Name, Vec<NegWindow>> = HashMap::new();
+        let mut windows: BTreeMap<&Name, Vec<NegWindow>> = BTreeMap::new();
         for (i, ev) in events.iter().enumerate() {
             if ev.rcode == RCode::NxDomain && !ev.from_cache {
                 if let Some(ttl) = ev.negative_ttl {
@@ -144,6 +146,7 @@ fn subtree_query_after_nxdomain(ctx: &TraceCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         // Strict ancestors only: the exact name is NXD015's business.
+        // Ancestors come in name order, so the diagnostics do too.
         for (ancestor, per_name) in windows {
             if **ancestor == ev.qname || !ev.qname.is_subdomain_of(ancestor) {
                 continue;
@@ -291,5 +294,38 @@ mod tests {
             ev(300, "other.com", RCode::NoError, false, 3, None),
         ];
         assert!(run("NXD017", &events).is_empty());
+    }
+
+    #[test]
+    fn nxd017_reports_every_ancestor_in_a_fixed_order() {
+        let events = vec![
+            ev(100, "ghost.com", RCode::NxDomain, false, 2, Some(900)),
+            ev(110, "b.ghost.com", RCode::NxDomain, false, 2, Some(900)),
+            ev(120, "a.b.ghost.com", RCode::NxDomain, false, 2, Some(900)),
+            ev(200, "x.a.b.ghost.com", RCode::NxDomain, false, 2, Some(900)),
+        ];
+        let got: Vec<(Location, String)> = run("NXD017", &events)
+            .into_iter()
+            .map(|d| (d.location, d.message))
+            .collect();
+        let diag = |index: usize, at: u64, ancestor: &str, until: u64| {
+            let qname = &events[index].qname;
+            (
+                Location::Trace { index, at },
+                format!(
+                    "{qname} went upstream at t={at} although ancestor {ancestor} was NXDOMAIN until t={until}"
+                ),
+            )
+        };
+        // Per query, ancestors in name order: the nearest one first here.
+        let expected = vec![
+            diag(1, 110, "ghost.com", 1000),
+            diag(2, 120, "b.ghost.com", 1010),
+            diag(2, 120, "ghost.com", 1000),
+            diag(3, 200, "a.b.ghost.com", 1020),
+            diag(3, 200, "b.ghost.com", 1010),
+            diag(3, 200, "ghost.com", 1000),
+        ];
+        assert_eq!(got, expected);
     }
 }

@@ -971,10 +971,18 @@ fn origin_parallel_exp(worlds: &mut Worlds) {
     let partition_elapsed = t1.elapsed();
 
     let t2 = Instant::now();
-    let fused = pipeline.run_with(&store, telemetry);
-    let fused_elapsed = t2.elapsed();
+    let bare = pipeline.run(&store);
+    let bare_elapsed = t2.elapsed();
 
-    assert_eq!(fused, serial, "fused origin results diverged from serial");
+    let t3 = Instant::now();
+    let fused = pipeline.run_with(&store, telemetry);
+    let instrumented_elapsed = t3.elapsed();
+
+    assert_eq!(bare, serial, "OriginPipeline::run diverged from run_serial");
+    assert_eq!(
+        fused, serial,
+        "OriginPipeline::run_with diverged from run_serial"
+    );
     println!(
         "all four §5 legs bit-identical across {} shards ({} names)",
         store.shard_count(),
@@ -1002,12 +1010,14 @@ fn origin_parallel_exp(worlds: &mut Worlds) {
         commas(fused.xref.hits.values().sum::<u64>()),
         commas(fused.xref.rate_limited_rejections)
     );
-    let speedup = serial_elapsed.as_secs_f64() / fused_elapsed.as_secs_f64().max(1e-9);
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!("partition {:>9.3} ms", ms(partition_elapsed));
+    let speedup = serial_elapsed.as_secs_f64() / bare_elapsed.as_secs_f64().max(1e-9);
     println!(
-        "serial four-pass {:>9.3} ms | partition {:>9.3} ms | fused scan {:>9.3} ms | speedup {speedup:.2}x",
-        serial_elapsed.as_secs_f64() * 1e3,
-        partition_elapsed.as_secs_f64() * 1e3,
-        fused_elapsed.as_secs_f64() * 1e3,
+        "run_serial {:>9.3} ms | run {:>9.3} ms | run_with {:>9.3} ms | speedup (run vs run_serial) {speedup:.2}x",
+        ms(serial_elapsed),
+        ms(bare_elapsed),
+        ms(instrumented_elapsed),
     );
 }
 

@@ -3,35 +3,43 @@
 //! The serial §5 analyses each walk the expired-NXDomain population once:
 //! WHOIS join, DGA scan, squat scan, blocklist cross-reference — four passes,
 //! four rounds of name resolution, and (formerly) a materialized
-//! `Vec<String>` per pass. [`OriginPipeline`] runs ONE pass: it fans out over
-//! the [`ShardedStore`] hash partitions via
-//! [`ShardedStore::par_map`], classifies every name for all four legs while
-//! it is hot in cache, and merges the per-shard tallies with deterministic,
-//! order-independent reductions. Results are bit-identical to the four
-//! serial functions for any shard count:
+//! `Vec<String>` per pass. [`OriginPipeline`] runs ONE pass: it splits each
+//! [`ShardedStore`] shard's per-name slice into contiguous `NameId` ranges,
+//! fans the ranges out through [`nxd_passive_dns::fan_out`] (the first on
+//! the calling thread), classifies every name for all four legs while it is
+//! hot in cache, and merges the per-range tallies by work-item index with
+//! deterministic, order-independent reductions. A shard splits into as
+//! many ranges as the machine has cores per shard (at least one, and none
+//! smaller than `MIN_NAMES_PER_RANGE` names), so the work items across all
+//! shards stay within the larger of the shard and core counts, and a
+//! one-shard store still uses every core. Results are bit-identical to the
+//! four serial functions for any shard and range count:
 //!
 //! * WHOIS / DGA / squat tallies are integer counters — they merge by
 //!   addition, and the report's fractions are computed once from the summed
 //!   integers (the same single division the serial code performs);
-//! * the deterministic xref sample merges by sorted union of per-shard
-//!   top-k lists, which equals the global sort-and-take-k because every
-//!   name lives in exactly one shard and the `(fnv, name)` key is a total
-//!   order over distinct names;
+//! * the deterministic xref sample merges by sorted union of per-range
+//!   bottom-k lists, which equals the global sort-and-take-k because every
+//!   name lives in exactly one range of one shard and the `(fnv, name)`
+//!   key is a total order over distinct names;
 //! * the rate-limited lookup loop itself is inherently serial (a stateful
 //!   token bucket) and runs once over the merged sample, exactly as
 //!   [`origin::blocklist_xref`] would.
 //!
 //! Equivalence across 1/2/4/8 shards is property-tested in
-//! `tests/prop_origin_pipeline.rs`; throughput is tracked by
+//! `tests/prop_origin_pipeline.rs`, and across 1/2/3/7 ranges per shard by
+//! this module's unit tests; throughput is tracked by
 //! `benches/origin_pipeline.rs` and the CI bench gate (`BENCH_5.json`).
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::float_arithmetic))]
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use nxd_blocklist::Blocklist;
 use nxd_dga::DgaDetector;
 use nxd_passive_dns::hash::fnv1a;
-use nxd_passive_dns::{PassiveDb, ShardedStore};
+use nxd_passive_dns::{fan_out, PassiveDb, ShardedStore};
 use nxd_squat::{SquatClassifier, SquatKind, SquatScratch};
 use nxd_telemetry::{Counter, Histogram, Journal, Stopwatch, Telemetry};
 use nxd_whois::HistoricWhoisDb;
@@ -81,8 +89,13 @@ pub struct OriginReport {
     pub xref: BlocklistXref,
 }
 
-/// Per-shard partial tallies; `sample` borrows the shard's intern table.
-struct ShardTally<'s> {
+/// Names below which a further split of a shard's id range stops paying
+/// for its thread: a name costs a few µs across the detectors, so a range
+/// of this size runs for milliseconds against a spawn of tens of µs.
+const MIN_NAMES_PER_RANGE: usize = 1_024;
+
+/// Per-range partial tallies; `sample` borrows the shard's intern table.
+struct RangeTally<'s> {
     total: u64,
     with_history: u64,
     dga_flagged: u64,
@@ -102,10 +115,43 @@ struct DetectorHists {
 /// Live-progress plumbing for the parallel scan, present only when
 /// telemetry is attached: a shards-completed counter that advances while
 /// the fan-out is in flight (so `/metrics` moves mid-scan) and per-shard
-/// flight-recorder events.
+/// flight-recorder events. A shard completes when the last of its ranges
+/// does.
 struct ShardProgress {
     shards_completed: Counter,
     journal: Journal,
+    /// Per shard: ranges still scanning, and names scanned so far.
+    shards: Vec<(AtomicUsize, AtomicU64)>,
+}
+
+impl ShardProgress {
+    /// Records one finished range of `shard`; the shard's last range ticks
+    /// the counter and journals the shard's name total.
+    fn range_done(&self, shard: usize, names: u64) {
+        let (remaining, scanned) = &self.shards[shard];
+        scanned.fetch_add(names, Ordering::Relaxed);
+        // Each range's release decrement follows its add, and the last
+        // range's acquire decrement pairs with all of them, so its load
+        // below sees every range's names.
+        if remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        self.shards_completed.inc();
+        self.journal.debug(
+            "origin",
+            "shard scanned",
+            &[
+                ("names", &scanned.load(Ordering::Relaxed).to_string()),
+                ("shards_done", &self.shards_completed.get().to_string()),
+            ],
+        );
+    }
+}
+
+/// The contiguous id ranges a shard of `names` ids splits into.
+fn split_ids(names: usize, ranges: usize) -> impl Iterator<Item = Range<usize>> {
+    let ranges = ranges.max(1);
+    (0..ranges).map(move |i| names * i / ranges..names * (i + 1) / ranges)
 }
 
 fn kind_slot(kind: SquatKind) -> usize {
@@ -125,6 +171,14 @@ const KIND_BY_SLOT: [SquatKind; 5] = [
     SquatKind::Bit,
     SquatKind::Homo,
 ];
+
+/// Keeps the `k` smallest entries of `sample`, in no particular order.
+fn keep_smallest(sample: &mut Vec<(u64, &str)>, k: usize) {
+    if sample.len() > k {
+        sample.select_nth_unstable(k);
+        sample.truncate(k);
+    }
+}
 
 /// Runs `f`, recording its latency into `hist` when instrumentation is on.
 fn timed<T>(hist: Option<&Histogram>, f: impl FnOnce() -> T) -> T {
@@ -177,12 +231,30 @@ impl OriginPipeline<'_> {
         }
     }
 
+    /// The fused pass with every shard split by [`split_ids`] into as many
+    /// ranges as there are cores per shard, fewer for a shard too small to
+    /// fill them with `MIN_NAMES_PER_RANGE` names each.
+    fn run_inner(&self, store: &ShardedStore, telemetry: Option<&Telemetry>) -> OriginReport {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let per_shard = (cores / store.shard_count()).max(1);
+        self.run_split(store, telemetry, |names| {
+            per_shard.min(names / MIN_NAMES_PER_RANGE).max(1)
+        })
+    }
+
+    /// The fused pass over `ranges(names)` id ranges of each shard of
+    /// `names` names. The report does not depend on the split.
     #[expect(
         clippy::disallowed_types,
         clippy::float_arithmetic,
         reason = "a fraction computed once from summed integer totals; nothing accumulates in float"
     )]
-    fn run_inner(&self, store: &ShardedStore, telemetry: Option<&Telemetry>) -> OriginReport {
+    fn run_split(
+        &self,
+        store: &ShardedStore,
+        telemetry: Option<&Telemetry>,
+        ranges: impl Fn(usize) -> usize,
+    ) -> OriginReport {
         let hists = telemetry.map(|t| DetectorHists {
             whois: t
                 .registry
@@ -194,32 +266,37 @@ impl OriginPipeline<'_> {
                 .registry
                 .histogram_with("origin_detector_latency_ns", &[("detector", "squat")]),
         });
+        let shards = store.shards();
+        let mut items: Vec<(usize, Range<usize>)> = Vec::new();
+        for (idx, db) in shards.iter().enumerate() {
+            let names = db.distinct_names();
+            items.extend(split_ids(names, ranges(names)).map(|ids| (idx, ids)));
+        }
         let progress = telemetry.map(|t| ShardProgress {
             shards_completed: t.registry.counter("origin_shards_completed_total"),
             journal: t.journal.clone(),
+            shards: (0..shards.len())
+                .map(|idx| {
+                    let count = items.iter().filter(|(shard, _)| *shard == idx).count();
+                    (AtomicUsize::new(count), AtomicU64::new(0))
+                })
+                .collect(),
         });
         let k = self.xref.sample_size;
 
-        // Phase 1: one fused scan per shard, in parallel.
+        // Phase 1: one fused scan per range, in parallel.
         let scan_span = telemetry.map(|t| t.span("origin.scan"));
-        let tallies = store.par_map(|db| {
-            let tally = self.scan_shard(db, k, hists.as_ref());
+        let tallies = fan_out(items.len(), |item| {
+            let (shard, ids) = &items[item];
+            let tally = self.scan_range(&shards[*shard], ids.clone(), k, hists.as_ref());
             if let Some(p) = progress.as_ref() {
-                p.shards_completed.inc();
-                p.journal.debug(
-                    "origin",
-                    "shard scanned",
-                    &[
-                        ("names", &tally.total.to_string()),
-                        ("shards_done", &p.shards_completed.get().to_string()),
-                    ],
-                );
+                p.range_done(*shard, tally.total);
             }
             tally
         });
         drop(scan_span);
 
-        // Phase 2: deterministic merge of the partials.
+        // Phase 2: deterministic merge of the partials, in item order.
         let merge_span = telemetry.map(|t| t.span("origin.merge"));
         let mut total = 0u64;
         let mut with_history = 0u64;
@@ -235,10 +312,10 @@ impl OriginPipeline<'_> {
             }
             sample.extend(tally.sample.iter().copied());
         }
-        // Sorted union of per-shard top-k lists ≡ global top-k: a name in
-        // the global top-k is necessarily in its own shard's top-k.
+        // Union of per-range bottom-k lists ≡ global bottom-k: a name in
+        // the global bottom-k is necessarily in its own range's.
+        keep_smallest(&mut sample, k);
         sample.sort_unstable();
-        sample.truncate(k);
         let squat: BTreeMap<SquatKind, u64> = squat_slots
             .iter()
             .enumerate()
@@ -252,7 +329,8 @@ impl OriginPipeline<'_> {
                 "scan merged",
                 &[
                     ("names", &total.to_string()),
-                    ("shards", &tallies.len().to_string()),
+                    ("shards", &shards.len().to_string()),
+                    ("ranges", &tallies.len().to_string()),
                 ],
             );
         }
@@ -294,25 +372,26 @@ impl OriginPipeline<'_> {
         report
     }
 
-    /// The fused per-shard scan: every NXDomain name is resolved once and
-    /// pushed through all four detectors while hot. Reductions are
-    /// order-free, so the intern table's iteration order does not matter.
-    fn scan_shard<'s>(
+    /// The fused scan of one id range of a shard: every NXDomain name is
+    /// resolved once and pushed through all four detectors while hot.
+    /// Reductions are order-free, so the visiting order does not matter.
+    fn scan_range<'s>(
         &self,
         db: &'s PassiveDb,
+        ids: Range<usize>,
         k: usize,
         hists: Option<&DetectorHists>,
-    ) -> ShardTally<'s> {
-        let mut tally = ShardTally {
+    ) -> RangeTally<'s> {
+        let mut tally = RangeTally {
             total: 0,
             with_history: 0,
             dga_flagged: 0,
             squat: [0; 5],
-            sample: Vec::with_capacity(db.distinct_names()),
+            sample: Vec::with_capacity(ids.len()),
         };
         let mut scratch = SquatScratch::default();
         let interner = db.interner();
-        for (id, _) in db.nx_names() {
+        for (id, _) in db.nx_names_in(ids) {
             let name = interner.resolve(id);
             tally.total += 1;
             if timed(hists.map(|h| &h.whois), || self.whois.has_history(name)) {
@@ -328,9 +407,8 @@ impl OriginPipeline<'_> {
             }
             tally.sample.push((fnv1a(name.as_bytes(), 0), name));
         }
-        // Per-shard top-k keeps the merge buffer at `shards × k` entries.
-        tally.sample.sort_unstable();
-        tally.sample.truncate(k);
+        // Per-range bottom-k keeps the merge buffer at `ranges × k` entries.
+        keep_smallest(&mut tally.sample, k);
         tally
     }
 
@@ -536,5 +614,78 @@ mod tests {
             let store = ShardedStore::from_db(&db, shards);
             assert_eq!(p.run(&store).xref, serial.xref, "{shards} shards");
         }
+    }
+
+    #[test]
+    fn range_split_matches_serial_and_repeats_exactly() {
+        let mut db = PassiveDb::new();
+        for i in 0..300 {
+            let rcode = if i % 5 == 0 {
+                RCode::NoError
+            } else {
+                RCode::NxDomain
+            };
+            db.record_str(&format!("name-{i}.com"), 17_000, 0, rcode, 1);
+        }
+        for name in ["gogle.com", "paypal-login.com", "xkqzjvwpyh.com"] {
+            db.record_str(name, 17_001, 1, RCode::NxDomain, 2);
+        }
+        let whois = HistoricWhoisDb::new();
+        let mut blocklist = Blocklist::new();
+        blocklist.insert("name-7.com", ThreatCategory::Phishing);
+        blocklist.insert("xkqzjvwpyh.com", ThreatCategory::Malware);
+        let detector = DgaDetector::default();
+        let classifier = SquatClassifier::default();
+        let mut p = pipeline(&whois, &blocklist, &detector, &classifier);
+        p.xref.sample_size = 40;
+        let serial = p.run_serial(&db);
+        for shards in [1, 2] {
+            let store = ShardedStore::from_db(&db, shards);
+            for ranges in [1, 2, 3, 7] {
+                let first = p.run_split(&store, None, |_| ranges);
+                assert_eq!(first, serial, "{shards} shards x {ranges} ranges");
+                for _ in 0..20 {
+                    assert_eq!(p.run_split(&store, None, |_| ranges), first);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_ids_covers_every_id_once() {
+        for names in [0, 1, 5, 300] {
+            for ranges in [1, 2, 3, 7] {
+                let parts: Vec<Range<usize>> = split_ids(names, ranges).collect();
+                assert_eq!(parts.len(), ranges);
+                assert_eq!(parts.first().map(|r| r.start), Some(0));
+                assert_eq!(parts.last().map(|r| r.end), Some(names));
+                assert!(parts.windows(2).all(|w| w[0].end == w[1].start));
+            }
+        }
+    }
+
+    #[test]
+    fn shard_progress_ticks_once_per_shard_across_ranges() {
+        let (whois, blocklist, db) = fixture();
+        let detector = DgaDetector::default();
+        let classifier = SquatClassifier::default();
+        let p = pipeline(&whois, &blocklist, &detector, &classifier);
+        let store = ShardedStore::from_db(&db, 2);
+        let telemetry = Telemetry::wall();
+        assert_eq!(p.run_split(&store, Some(&telemetry), |_| 3), p.run(&store));
+        let snap = telemetry.registry.snapshot();
+        assert_eq!(snap.counter_total("origin_shards_completed_total"), 2);
+        let scanned: Vec<u64> = telemetry
+            .journal
+            .snapshot()
+            .iter()
+            .filter(|e| e.message == "shard scanned")
+            .map(|e| {
+                let names = e.fields.iter().find(|(k, _)| k == "names").unwrap();
+                names.1.parse().unwrap()
+            })
+            .collect();
+        assert_eq!(scanned.len(), 2);
+        assert_eq!(scanned.iter().sum::<u64>(), 7);
     }
 }

@@ -4,8 +4,10 @@
 //! referenced by many rows. Interning collapses every occurrence to a `u32`
 //! id and keeps one canonical string, cutting row width and making group-bys
 //! integer comparisons. The ablation bench `interning` quantifies the win.
+//! The strings sit back to back in one buffer, and the lookup table holds
+//! only ids and hash tags, so a name costs its bytes plus a few words.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 use nxd_dns_wire::Name;
 
@@ -13,18 +15,136 @@ use nxd_dns_wire::Name;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameId(pub u32);
 
+/// The high half of a slot: the top 32 bits of its string's hash.
+const TAG: u64 = 0xFFFF_FFFF_0000_0000;
+
+/// Strings numbered densely in insertion order, each stored once in one
+/// shared buffer, with lookup by one probe sequence in an open-addressing
+/// table. The interner's name and TLD tables, and the stream engine's
+/// exact NX-name set (its `stream` module keeps hash collections out of
+/// its own code, so the set lives here).
+#[derive(Debug)]
+pub(crate) struct NameTable {
+    /// Every string's bytes, back to back.
+    text: String,
+    /// String `i` is `text[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    /// Linear-probing slots, a power of two long and at most half full.
+    /// A slot holds the top 32 bits of its string's hash above `id + 1`;
+    /// 0 marks an empty slot. Probing starts at the tag's low bits, so
+    /// growing never rehashes a string.
+    slots: Vec<u64>,
+    /// Per-table random keys, so crafted names cannot force collisions.
+    hasher: RandomState,
+}
+
+impl Default for NameTable {
+    fn default() -> Self {
+        NameTable {
+            text: String::new(),
+            bounds: vec![0],
+            slots: Vec::new(),
+            hasher: RandomState::new(),
+        }
+    }
+}
+
+impl NameTable {
+    /// Number of strings.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// String `id`.
+    ///
+    /// # Panics
+    /// Panics on an id not issued by this table.
+    pub(crate) fn get(&self, id: u32) -> &str {
+        let i = id as usize;
+        &self.text[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// The id of `s`, if present.
+    pub(crate) fn find(&self, s: &str) -> Option<u32> {
+        self.probe(s, self.hasher.hash_one(s)).ok()
+    }
+
+    /// The id of `s`, adding it first if absent; `true` when it was added.
+    pub(crate) fn insert(&mut self, s: &str) -> (u32, bool) {
+        let hash = self.hasher.hash_one(s);
+        let mut at = match self.probe(s, hash) {
+            Ok(id) => return (id, false),
+            Err(at) => at,
+        };
+        if (self.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            at = self
+                .probe(s, hash)
+                .expect_err("a string absent before growing is absent after");
+        }
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("at most u32::MAX - 1 strings per table");
+        self.text.push_str(s);
+        self.bounds.push(self.text.len());
+        self.slots[at] = (hash & TAG) | u64::from(id + 1);
+        (id, true)
+    }
+
+    /// `Ok(id)` of `s`, or `Err(slot)`: the empty slot it would take (any
+    /// index while the table has no slots yet).
+    fn probe(&self, s: &str, hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = (hash >> 32) as usize & mask;
+        loop {
+            let slot = *self.slots.get(at).ok_or(at)?;
+            if slot == 0 {
+                return Err(at);
+            }
+            // The low half is `id + 1`, never 0 in an occupied slot.
+            let id = (slot & !TAG) as u32 - 1;
+            if slot & TAG == hash & TAG && self.get(id) == s {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the slot table (16 slots at first) and re-places every
+    /// slot by its tag.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(16);
+        let mask = size - 1;
+        let mut slots = vec![0u64; size];
+        for &slot in self.slots.iter().filter(|&&slot| slot != 0) {
+            let mut at = (slot >> 32) as usize & mask;
+            while slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            slots[at] = slot;
+        }
+        self.slots = slots;
+    }
+
+    /// Heap bytes in use: string bytes, bounds and slots.
+    fn heap_bytes(&self) -> usize {
+        self.text.len()
+            + self.bounds.len() * std::mem::size_of::<usize>()
+            + self.slots.len() * std::mem::size_of::<u64>()
+    }
+}
+
 /// An append-only name interner.
 ///
 /// Also memoizes each name's TLD as an interned id of its own, so TLD
 /// group-bys never re-parse strings.
 #[derive(Debug, Default)]
 pub struct Interner {
-    lookup: HashMap<Box<str>, NameId>,
-    names: Vec<Box<str>>,
-    /// Parallel to `names`: index into `tlds`.
+    names: NameTable,
+    /// Parallel to `names`: the id of each name's TLD in `tlds`.
     tld_of: Vec<u32>,
-    tlds: Vec<Box<str>>,
-    tld_lookup: HashMap<Box<str>, u32>,
+    tlds: NameTable,
 }
 
 impl Interner {
@@ -39,31 +159,17 @@ impl Interner {
 
     /// Interns a pre-normalized (lowercase, no trailing dot) name string.
     pub fn intern_str(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.lookup.get(name) {
-            return id;
+        let (id, added) = self.names.insert(name);
+        if added {
+            let (tld, _) = self.tlds.insert(crate::summary::tld_of(name));
+            self.tld_of.push(tld);
         }
-        let id = NameId(self.names.len() as u32);
-        let boxed: Box<str> = name.into();
-        self.lookup.insert(boxed.clone(), id);
-        self.names.push(boxed);
-        let tld = crate::summary::tld_of(name);
-        let tld_id = match self.tld_lookup.get(tld) {
-            Some(&t) => t,
-            None => {
-                let t = self.tlds.len() as u32;
-                let b: Box<str> = tld.into();
-                self.tld_lookup.insert(b.clone(), t);
-                self.tlds.push(b);
-                t
-            }
-        };
-        self.tld_of.push(tld_id);
-        id
+        NameId(id)
     }
 
     /// Returns the id of an already-interned name, if present.
     pub fn get(&self, name: &str) -> Option<NameId> {
-        self.lookup.get(name).copied()
+        self.names.find(name).map(NameId)
     }
 
     /// The string for an id.
@@ -71,7 +177,7 @@ impl Interner {
     /// # Panics
     /// Panics on an id not produced by this interner.
     pub fn resolve(&self, id: NameId) -> &str {
-        &self.names[id.0 as usize]
+        self.names.get(id.0)
     }
 
     /// The TLD id of an interned name.
@@ -81,7 +187,7 @@ impl Interner {
 
     /// The TLD string for a TLD id.
     pub fn resolve_tld(&self, tld_id: u32) -> &str {
-        &self.tlds[tld_id as usize]
+        self.tlds.get(tld_id)
     }
 
     /// Number of distinct names interned.
@@ -90,7 +196,7 @@ impl Interner {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct TLDs seen.
@@ -100,19 +206,15 @@ impl Interner {
 
     /// Iterates `(id, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (NameId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (NameId(i as u32), s.as_ref()))
+        (0..self.names.len()).map(|i| {
+            let id = i as u32;
+            (NameId(id), self.names.get(id))
+        })
     }
 
     /// Approximate heap footprint in bytes (for the interning ablation).
     pub fn heap_bytes(&self) -> usize {
-        self.names
-            .iter()
-            .map(|s| s.len() + std::mem::size_of::<Box<str>>())
-            .sum::<usize>()
-            + self.tld_of.len() * 4
+        self.names.heap_bytes() + self.tld_of.len() * 4
     }
 }
 
@@ -165,6 +267,27 @@ mod tests {
         let n: Name = "MiXeD.CoM".parse().unwrap();
         let id = i.intern(&n);
         assert_eq!(i.resolve(id), "mixed.com");
+    }
+
+    #[test]
+    fn name_table_numbers_strings_once_across_growth() {
+        let mut table = NameTable::default();
+        assert_eq!(table.find("x"), None);
+        assert_eq!(table.insert(""), (0, true));
+        for i in 1..5_000u32 {
+            assert_eq!(table.insert(&format!("n{i}.com")), (i, true));
+        }
+        assert_eq!(table.insert(""), (0, false));
+        assert_eq!(table.len(), 5_000);
+        for i in 1..5_000u32 {
+            let name = format!("n{i}.com");
+            assert_eq!(table.insert(&name), (i, false));
+            assert_eq!(table.find(&name), Some(i));
+            assert_eq!(table.get(i), name);
+        }
+        assert_eq!(table.get(0), "");
+        assert_eq!(table.find("n5000.com"), None);
+        assert!(table.slots.len() >= 2 * table.len());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use federation::{Coverage, Federation};
 pub use hash::shard_of;
 pub use intern::{Interner, NameId};
 pub use sensor::{Sensor, VantagePoint};
-pub use shard::{auto_shard_count, auto_shard_count_here, ShardedStore};
+pub use shard::{auto_shard_count, auto_shard_count_here, fan_out, ShardedStore};
 pub use sie::{collect_parallel, collect_sharded, collect_stream, SieError, SieProducer};
 pub use store::{NameAggregate, Observation, PassiveDb};
 pub use stream::{Admission, StreamConfig, StreamEngine, StreamSnapshot};

@@ -14,8 +14,9 @@
 //! * name-level results (distinct counts, samples, lifespan name counts)
 //!   merge by disjoint union — no name is counted twice.
 //!
-//! [`ShardedStore::par_map`] runs one scoped worker per shard and
-//! reassembles partials in shard order; every merge is commutative and
+//! Every parallel query runs one [`fan_out`] item per shard (the first on
+//! the calling thread, the rest on scoped workers) and reassembles
+//! partials in shard order; every merge is commutative and
 //! associative, so results are bit-identical to the serial [`crate::query`]
 //! oracle for any shard count — property-tested in `tests/prop_shard.rs`
 //! and asserted on the era world by `repro scale-parallel`.
@@ -71,6 +72,50 @@ pub fn auto_shard_count(rows: usize, max_parallelism: usize) -> usize {
 pub fn auto_shard_count_here(rows: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     auto_shard_count(rows, cores)
+}
+
+/// The parallel executor: runs `f(0)`, …, `f(items - 1)` and returns the
+/// results in item order. Item 0 runs on the calling thread and every
+/// other item on its own scoped worker, so one item spawns nothing.
+///
+/// The [`ShardedStore`] queries fan out one item per shard through it, and
+/// higher layers (the fused origin pipeline in `nxd-core`) fan out their
+/// own work items, so the workspace has one thread-spawn site for
+/// data-parallel scans. Results are reassembled by index, never in
+/// completion order.
+///
+/// # Panics
+/// Propagates worker panics.
+pub fn fan_out<R, F>(items: usize, f: F) -> Vec<R>
+where
+    F: Fn(usize) -> R + Sync,
+    R: Send,
+{
+    if items <= 1 {
+        return (0..items).map(&f).collect();
+    }
+    let (tx, rx) = bounded::<(usize, R)>(items);
+    let partials = crossbeam::thread::scope(|scope| {
+        let f = &f;
+        for idx in 1..items {
+            let tx = tx.clone();
+            scope.spawn(move |_| {
+                tx.send((idx, f(idx))).expect("fan-out collector hung up");
+            });
+        }
+        drop(tx);
+        let mut out: Vec<Option<R>> = (0..items).map(|_| None).collect();
+        out[0] = Some(f(0));
+        for (idx, partial) in rx {
+            out[idx] = Some(partial);
+        }
+        out
+    })
+    .expect("fan-out worker panicked");
+    partials
+        .into_iter()
+        .map(|p| p.expect("worker exited without a partial"))
+        .collect()
 }
 
 /// A hash-partitioned set of [`PassiveDb`] shards with a parallel
@@ -201,60 +246,16 @@ impl ShardedStore {
         }
     }
 
-    /// Runs `f` against every shard on scoped worker threads (one per
-    /// shard) and returns the partial results in shard order. A single
-    /// shard runs inline.
-    ///
-    /// This is the building block the parallel query methods below are made
-    /// of, public so higher layers (e.g. the fused origin pipeline in
-    /// `nxd-core`) can fan their own scans out over the same partitions.
-    /// The explicit `'s` lifetime lets partials borrow from the shards —
-    /// e.g. return interner-resolved `&'s str` names — instead of cloning.
-    ///
-    /// # Panics
-    /// Propagates worker panics (queries over a well-formed store do not
-    /// panic).
-    pub fn par_map<'s, R, F>(&'s self, f: F) -> Vec<R>
+    /// Runs `f` against every shard through [`fan_out`] (shard 0 on the
+    /// calling thread, every other shard on a scoped worker) and returns
+    /// the partial results in shard order: the building block of the
+    /// parallel query methods below.
+    fn par_map<'s, R, F>(&'s self, f: F) -> Vec<R>
     where
         F: Fn(&'s PassiveDb) -> R + Sync,
         R: Send,
     {
-        self.par_map_indexed(|_, db| f(db))
-    }
-
-    /// [`ShardedStore::par_map`] with the shard index passed through, for
-    /// closures that need per-shard side inputs (or per-shard telemetry
-    /// labels).
-    fn par_map_indexed<'s, R, F>(&'s self, f: F) -> Vec<R>
-    where
-        F: Fn(usize, &'s PassiveDb) -> R + Sync,
-        R: Send,
-    {
-        if self.shards.len() == 1 {
-            return vec![f(0, &self.shards[0])];
-        }
-        let (tx, rx) = bounded::<(usize, R)>(self.shards.len());
-        let partials = crossbeam::thread::scope(|scope| {
-            for (idx, shard) in self.shards.iter().enumerate() {
-                let tx = tx.clone();
-                let f = &f;
-                scope.spawn(move |_| {
-                    tx.send((idx, f(idx, shard)))
-                        .expect("query collector hung up");
-                });
-            }
-            drop(tx);
-            let mut out: Vec<Option<R>> = (0..self.shards.len()).map(|_| None).collect();
-            for (idx, partial) in rx {
-                out[idx] = Some(partial);
-            }
-            out
-        })
-        .expect("sharded query worker panicked");
-        partials
-            .into_iter()
-            .map(|p| p.expect("worker exited without a partial"))
-            .collect()
+        fan_out(self.shards.len(), |idx| f(&self.shards[idx]))
     }
 
     // ---- parallel queries -----------------------------------------------
@@ -349,8 +350,8 @@ impl ShardedStore {
         }
         let span = (before + after + 1) as usize;
         let mut totals = vec![0u64; span];
-        let partials = self.par_map_indexed(|idx, db| {
-            scan::expiry_aligned_totals(db, &per_shard[idx], before, after)
+        let partials = fan_out(self.shards.len(), |idx| {
+            scan::expiry_aligned_totals(&self.shards[idx], &per_shard[idx], before, after)
         });
         for partial in partials {
             for (slot, t) in totals.iter_mut().zip(partial) {

@@ -22,7 +22,7 @@
     )
 )]
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use nxd_dns_wire::{Name, RCode};
@@ -167,7 +167,10 @@ pub struct PassiveDb {
     col_sensor: Vec<u16>,
     col_rcode: Vec<u8>,
     col_count: Vec<u32>,
-    per_name: HashMap<NameId, NameAggregate>,
+    /// Per-name aggregates indexed by [`NameId`]: interner ids are dense,
+    /// so slot `i` belongs to id `i`. A slot stays `None` until the name's
+    /// first row, since a name may be interned before it is appended.
+    per_name: Vec<Option<NameAggregate>>,
     /// [`PassiveDb::summary`]'s memo; [`PassiveDb::append`], the only row
     /// mutation, clears it.
     summary: OnceLock<ScaleSummary>,
@@ -211,7 +214,7 @@ impl PassiveDb {
             col_sensor: Vec::new(),
             col_rcode: Vec::new(),
             col_count: Vec::new(),
-            per_name: HashMap::new(),
+            per_name: Vec::new(),
             summary: OnceLock::new(),
             metrics: StoreMetrics::default(),
             journal: None,
@@ -368,7 +371,11 @@ impl PassiveDb {
             .intern_tlds
             .set(self.interner.tld_count() as i64);
 
-        let agg = self.per_name.entry(obs.name).or_insert(NameAggregate {
+        let slot = obs.name.0 as usize;
+        if slot >= self.per_name.len() {
+            self.per_name.resize(slot + 1, None);
+        }
+        let agg = self.per_name[slot].get_or_insert(NameAggregate {
             first_nx_day: u32::MAX,
             last_nx_day: 0,
             nx_queries: 0,
@@ -429,14 +436,12 @@ impl PassiveDb {
 
     /// The aggregate for a name id, if it has any rows.
     pub fn aggregate(&self, id: NameId) -> Option<&NameAggregate> {
-        self.per_name.get(&id)
+        self.per_name.get(id.0 as usize)?.as_ref()
     }
 
     /// The aggregate for a name string.
     pub fn aggregate_of(&self, name: &str) -> Option<&NameAggregate> {
-        self.interner
-            .get(name)
-            .and_then(|id| self.per_name.get(&id))
+        self.interner.get(name).and_then(|id| self.aggregate(id))
     }
 
     /// Iterates rows as [`Observation`]s in append order (sealed blocks
@@ -544,12 +549,24 @@ impl PassiveDb {
     }
 
     /// Iterates `(id, aggregate)` for every name with at least one NXDOMAIN
-    /// observation.
+    /// observation, in id order.
     pub fn nx_names(&self) -> impl Iterator<Item = (NameId, &NameAggregate)> {
-        self.per_name
-            .iter()
-            .filter(|(_, a)| a.nx_queries > 0)
-            .map(|(&id, a)| (id, a))
+        self.nx_names_in(0..self.per_name.len())
+    }
+
+    /// [`PassiveDb::nx_names`] restricted to the ids in `ids` (clamped to
+    /// the ids issued so far), so a scan can split the name space into
+    /// contiguous ranges and visit each name exactly once.
+    pub fn nx_names_in(&self, ids: Range<usize>) -> impl Iterator<Item = (NameId, &NameAggregate)> {
+        let end = ids.end.min(self.per_name.len());
+        let start = ids.start.min(end);
+        let first = u32::try_from(start).expect("every slot is indexed by a u32 NameId");
+        (first..)
+            .zip(&self.per_name[start..end])
+            .filter_map(|(id, slot)| match slot {
+                Some(a) if a.nx_queries > 0 => Some((NameId(id), a)),
+                _ => None,
+            })
     }
 
     /// Merges another store built against the *same logical name space*
@@ -714,6 +731,34 @@ mod tests {
         assert_eq!(db.summary().total_nx_responses(), 7);
         assert_eq!(db.summary().distinct_nx_names(), 2);
         assert_eq!(*db.summary(), ScaleSummary::of(&db));
+    }
+
+    #[test]
+    fn interned_name_without_rows_has_no_aggregate() {
+        let mut db = PassiveDb::new();
+        let pending = db.interner_mut().intern_str("pending.com");
+        db.record_str("dead.com", 10, 0, RCode::NxDomain, 1);
+        let late = db.interner_mut().intern_str("late.com");
+        db.record_str("dead.com", 11, 0, RCode::NxDomain, 1);
+        db.record_str("gone.net", 12, 0, RCode::NxDomain, 2);
+        db.record_str("alive.com", 12, 0, RCode::NoError, 3);
+        assert!(db.aggregate(pending).is_none());
+        assert!(db.aggregate(late).is_none());
+        assert!(db.aggregate_of("late.com").is_none());
+        assert!(db.aggregate(NameId(u32::MAX)).is_none());
+        assert_eq!(db.aggregate_of("dead.com").unwrap().nx_queries, 2);
+        let nx: Vec<&str> = db
+            .nx_names()
+            .map(|(id, _)| db.interner().resolve(id))
+            .collect();
+        assert_eq!(nx, ["dead.com", "gone.net"]);
+        // Ranges split the walk without losing or repeating a name.
+        let split: Vec<NameId> = (0..db.distinct_names() + 2)
+            .flat_map(|i| db.nx_names_in(i..i + 1).map(|(id, _)| id))
+            .collect();
+        let whole: Vec<NameId> = db.nx_names().map(|(id, _)| id).collect();
+        assert_eq!(split, whole);
+        assert_eq!(db.nx_names_in(7..9).count(), 0);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use nxd_telemetry::{Counter, Gauge, Journal, Registry};
 use super::sketch::{DistinctSketch, SpaceSaving, TopEntry};
 use super::window::{ClosedWindow, LateTally, WindowConfig, WindowState};
 use crate::hash::in_sample;
+use crate::intern::NameTable;
 use crate::query::TldStat;
 use crate::store::PassiveDb;
 use crate::summary::{tld_of, ScaleSummary};
@@ -151,8 +152,8 @@ pub struct StreamCore {
     /// Exact §4 tallies over the admitted rows.
     summary: ScaleSummary,
     /// Admitted names with a non-zero NXDOMAIN count, so each is counted
-    /// into `summary` once.
-    nx_seen: BTreeSet<String>,
+    /// into `summary` once: one hashed lookup per NX row.
+    nx_seen: NameTable,
     /// The §4.2 deterministic 1-in-`sample_n` sample of `nx_seen`.
     sample: BTreeSet<String>,
     top_tlds: SpaceSaving,
@@ -175,7 +176,7 @@ impl StreamCore {
             windows: WindowState::new(config.window),
             late: LateTally::default(),
             summary: ScaleSummary::default(),
-            nx_seen: BTreeSet::new(),
+            nx_seen: NameTable::default(),
             sample: BTreeSet::new(),
             top_tlds: SpaceSaving::new(TOP_K),
             distinct: DistinctSketch::new(SKETCH_PRECISION, SKETCH_SALT),
@@ -205,8 +206,7 @@ impl StreamCore {
         let tld = tld_of(name);
         self.summary.observe_row(tld, day, sensor, rcode, count);
         if nx {
-            if count > 0 && !self.nx_seen.contains(name) {
-                self.nx_seen.insert(name.to_owned());
+            if count > 0 && self.nx_seen.insert(name).1 {
                 self.summary.observe_nx_name(tld);
                 if in_sample(name, self.config.sample_n, SAMPLE_SALT) {
                     self.sample.insert(name.to_owned());

@@ -12,9 +12,13 @@
 //! * **Exact incremental aggregates** ([`engine`]) — the §4 answers as a
 //!   running [`crate::ScaleSummary`] plus the exact NX-name set and §4.2
 //!   1/N name sample, bit-identical to the batch `query.rs` oracle over
-//!   the rows admitted so far (pinned by `tests/prop_stream.rs`).
+//!   the rows admitted so far (pinned by `tests/prop_stream.rs`). The
+//!   NX-name set stores each name once and answers membership with one
+//!   hashed lookup per NX row; it lives in the `intern` module, because
+//!   this tree keeps hash collections out of its own code.
 //! * **Approximate companions** ([`sketch`]) — a space-saving top-k TLD
-//!   summary (over-count ≤ N/k, no under-count, heavy hitters guaranteed)
+//!   summary (over-count ≤ N/k, no under-count, heavy hitters guaranteed;
+//!   one map of k counters, with the eviction victim found by a scan)
 //!   and an HLL-style distinct-name sketch (relative error
 //!   `1.04/sqrt(2^p)`), in O(k + 2^p) memory regardless of stream length.
 //!   Pinned by `tests/prop_sketch.rs`.

@@ -8,6 +8,10 @@
 //!   estimate over-counts by at most `N/k`, estimates never under-count,
 //!   and any item whose true weight exceeds `N/k` is guaranteed present.
 //!   Backs the streaming TLD table (Fig. 4) and the Fig. 8 sample feed.
+//!   Its only state is one ordered map of at most `k` counters: a tracked
+//!   item's update is one lookup with no allocation, and a new item at
+//!   capacity evicts the (min count, min item) counter, found by a scan
+//!   over the `k` counters.
 //! * [`DistinctSketch`] — an HLL-style register sketch with a fixed
 //!   `2^p` byte registers. Standard error is `1.04 / sqrt(2^p)` relative;
 //!   small cardinalities fall back to linear counting. Backs the
@@ -21,7 +25,7 @@
 //! only floating-point work is a single expression at estimate time —
 //! no float accumulation anywhere (`clippy::float_arithmetic`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::hash::fnv1a;
 
@@ -47,8 +51,6 @@ pub struct TopEntry {
 pub struct SpaceSaving {
     capacity: usize,
     counters: BTreeMap<String, SsCounter>,
-    /// Min-heap stand-in: ordered (count, item) pairs mirroring `counters`.
-    by_count: BTreeSet<(u64, String)>,
     /// Total offered weight N (the `N` in the `N/k` bound).
     weight: u64,
 }
@@ -70,13 +72,14 @@ impl SpaceSaving {
         self.weight
     }
 
-    /// Offers `weight` occurrences of `item`.
+    /// Offers `weight` occurrences of `item`. A tracked item, or a new
+    /// one while there is room, costs one map lookup. A new item at
+    /// capacity replaces the (min count, min item) counter, found by a
+    /// scan over the at most `capacity` counters.
     pub fn offer(&mut self, item: &str, weight: u64) {
         self.weight += weight;
         if let Some(counter) = self.counters.get_mut(item) {
-            assert!(self.by_count.remove(&(counter.count, item.to_string())));
             counter.count += weight;
-            self.by_count.insert((counter.count, item.to_string()));
             return;
         }
         if self.counters.len() < self.capacity {
@@ -87,23 +90,25 @@ impl SpaceSaving {
                     error: 0,
                 },
             );
-            self.by_count.insert((weight, item.to_string()));
             return;
         }
         // Full: the new item inherits (and absorbs) the minimum counter.
-        let (min_count, min_item) = self
-            .by_count
-            .first()
-            .cloned()
+        // `min_by_key` keeps the first minimum, and the map iterates in
+        // item order, so ties go to the smallest item.
+        let (victim, min_count) = self
+            .counters
+            .iter()
+            .min_by_key(|(_, c)| c.count)
+            .map(|(victim, c)| (victim.clone(), c.count))
             .expect("capacity >= 1, so a full summary has a minimum");
-        self.by_count.remove(&(min_count, min_item.clone()));
-        self.counters.remove(&min_item);
-        let counter = SsCounter {
-            count: min_count + weight,
-            error: min_count,
-        };
-        self.by_count.insert((counter.count, item.to_string()));
-        self.counters.insert(item.to_string(), counter);
+        self.counters.remove(&victim);
+        self.counters.insert(
+            item.to_string(),
+            SsCounter {
+                count: min_count + weight,
+                error: min_count,
+            },
+        );
     }
 
     /// Estimated weight of `item` (0 if not tracked). Never under-counts
@@ -134,12 +139,10 @@ impl SpaceSaving {
         self.weight / self.capacity as u64
     }
 
-    /// Approximate heap footprint in bytes (strings + tree nodes).
+    /// Approximate heap footprint in bytes (strings + tree entries).
     pub fn heap_bytes(&self) -> usize {
-        let strings: usize = self.counters.keys().map(|k| 2 * k.len()).sum();
-        strings
-            + self.counters.len() * std::mem::size_of::<(String, SsCounter)>()
-            + self.by_count.len() * std::mem::size_of::<(u64, String)>()
+        let strings: usize = self.counters.keys().map(String::len).sum();
+        strings + self.counters.len() * std::mem::size_of::<(String, SsCounter)>()
     }
 }
 

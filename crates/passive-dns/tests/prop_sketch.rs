@@ -3,7 +3,8 @@
 //!
 //! * Space-saving top-k (Metwally et al.): estimates never under-count,
 //!   over-count by at most N/k, and every item whose true weight exceeds
-//!   N/k is present in the summary — for ANY stream.
+//!   N/k is present in the summary — for ANY stream — and the summary
+//!   equals a naive model that evicts the (min count, min item) counter.
 //! * Distinct sketch (HLL-style): the estimate is within a small multiple
 //!   of the `1.04/sqrt(2^p)` standard error across deterministic seeds,
 //!   merging equals union, and memory never grows with the stream.
@@ -82,6 +83,48 @@ proptest! {
             ss.offer(&heaviest.item, extra);
             prop_assert_eq!(ss.estimate(&heaviest.item), before + extra);
         }
+    }
+
+    /// The summary equals a naive model of the algorithm: a map of at most
+    /// `k` (count, error) counters where a new item at capacity replaces
+    /// the entry with the smallest (count, item) pair. Small weights over
+    /// few items make count ties, so the tie rule is exercised.
+    #[test]
+    fn space_saving_matches_the_naive_eviction_model(
+        stream in proptest::collection::vec((0usize..12, 1u64..4), 0..200),
+        k in 1usize..8,
+    ) {
+        let mut ss = SpaceSaving::new(k);
+        let mut model: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        for &(idx, w) in &stream {
+            let item = format!("item-{idx}");
+            ss.offer(&item, w);
+            if let Some(slot) = model.get_mut(&item) {
+                slot.0 += w;
+            } else if model.len() < k {
+                model.insert(item, (w, 0));
+            } else {
+                let (victim, min) = model
+                    .iter()
+                    .map(|(name, &(count, _))| (count, name.clone()))
+                    .min()
+                    .map(|(count, name)| (name, count))
+                    .unwrap();
+                model.remove(&victim);
+                model.insert(item, (min + w, min));
+            }
+        }
+        let mut expected: Vec<(String, u64, u64)> = model
+            .into_iter()
+            .map(|(item, (count, error))| (item, count, error))
+            .collect();
+        expected.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let got: Vec<(String, u64, u64)> = ss
+            .top(k)
+            .into_iter()
+            .map(|e| (e.item, e.count, e.error))
+            .collect();
+        prop_assert_eq!(got, expected);
     }
 }
 

@@ -263,6 +263,8 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
     let specs_emitted = telemetry.registry.gauge("traffic_era_specs_emitted");
     let total_specs = specs.len();
     let mut expiry_days = HashMap::new();
+    let year_mult = YearMult::new();
+    let decay = decay_table(specs.iter().map(|s| s.duration).max().unwrap_or(0));
     for (spec_index, spec) in specs.iter().enumerate() {
         let tld = spec.name.rsplit('.').next().unwrap_or("").to_string();
         let id = db.interner_mut().intern_str(&spec.name);
@@ -275,7 +277,7 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
                 if day < era_start_day {
                     continue;
                 }
-                let count = poisson(&mut rng, pre_rate * year_mult(day));
+                let count = poisson(&mut rng, pre_rate * year_mult.at(day));
                 if count > 0 {
                     let sensor = pick_sensor(&mut rng, &tld);
                     db.append(Observation {
@@ -294,7 +296,7 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
             if day >= era_end_day {
                 break;
             }
-            let mut lambda = spec.weight * decay(offset) * year_mult(day);
+            let mut lambda = spec.weight * decay[offset as usize] * year_mult.at(day);
             if spec.expired && (25..=35).contains(&offset) {
                 // The unexplained +30-day spike of Fig. 6 — modeled as a
                 // burst of monitoring/drop-catch probing.
@@ -361,16 +363,40 @@ pub fn generate_with(config: EraConfig, telemetry: &Telemetry) -> EraWorld {
     }
 }
 
-fn year_mult(day: u32) -> f64 {
-    let t = SimTime(day as u64 * 86_400);
-    let year = t.year().clamp(2014, 2022);
-    YEAR_MULT[(year - 2014) as usize] / 15.0
+/// [`YEAR_MULT`] relative to the flat 2016 level, looked up by day: the
+/// first day of each of 2015..=2022 splits the day line into the nine
+/// clamped years, so a lookup is a search over eight boundaries instead of
+/// a calendar conversion.
+struct YearMult {
+    /// Day number of 1 January of 2015, 2016, …, 2022.
+    starts: [u32; 8],
+    /// `YEAR_MULT[i] / 15.0` for the year `2014 + i`.
+    mult: [f64; 9],
+}
+
+impl YearMult {
+    fn new() -> Self {
+        YearMult {
+            starts: std::array::from_fn(|i| {
+                SimTime::from_ymd(2015 + i as i32, 1, 1).day_number() as u32
+            }),
+            mult: YEAR_MULT.map(|m| m / 15.0),
+        }
+    }
+
+    /// The multiplier of `day`'s year, clamped to 2014..=2022.
+    fn at(&self, day: u32) -> f64 {
+        self.mult[self.starts.partition_point(|&start| start <= day)]
+    }
 }
 
 /// Query-rate decay with days spent in NX status: fast in the first ten
-/// days, long tail afterwards (Fig. 5's shape).
-fn decay(offset: u32) -> f64 {
-    (1.0 + offset as f64).powf(-0.9)
+/// days, long tail afterwards (Fig. 5's shape). One entry per offset below
+/// `len`, the longest active span.
+fn decay_table(len: u32) -> Vec<f64> {
+    (0..len)
+        .map(|offset| (1.0 + offset as f64).powf(-0.9))
+        .collect()
 }
 
 /// Sensor ids by collection network: 0–9 belong to the global provider
@@ -680,6 +706,18 @@ mod tests {
         let top5: Vec<&str> = dist.iter().take(5).map(|t| t.tld.as_str()).collect();
         for tld in ["net", "ru"] {
             assert!(top5.contains(&tld), "{tld} not in top5: {top5:?}");
+        }
+    }
+
+    #[test]
+    fn year_mult_table_matches_the_calendar() {
+        let table = YearMult::new();
+        let first = SimTime::from_ymd(2012, 6, 1).day_number() as u32;
+        let last = SimTime::from_ymd(2024, 6, 1).day_number() as u32;
+        for day in first..last {
+            let year = SimTime(day as u64 * 86_400).year().clamp(2014, 2022);
+            let want = YEAR_MULT[(year - 2014) as usize] / 15.0;
+            assert_eq!(table.at(day).to_bits(), want.to_bits(), "day {day}");
         }
     }
 
