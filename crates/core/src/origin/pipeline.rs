@@ -35,6 +35,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use nxd_blocklist::Blocklist;
 use nxd_dga::DgaDetector;
@@ -286,9 +287,18 @@ impl OriginPipeline<'_> {
 
         // Phase 1: one fused scan per range, in parallel.
         let scan_span = telemetry.map(|t| t.span("origin.scan"));
+        // Every range's sample buffer is allocated here, on the calling
+        // thread, so the bulk of a range's memory never lands in the
+        // allocator arena that a short-lived worker happens to draw.
+        let buffers: Vec<Mutex<Vec<(u64, &str)>>> = items
+            .iter()
+            .map(|(_, ids)| Mutex::new(Vec::with_capacity(ids.len())))
+            .collect();
         let tallies = fan_out(items.len(), |item| {
             let (shard, ids) = &items[item];
-            let tally = self.scan_range(&shards[*shard], ids.clone(), k, hists.as_ref());
+            let sample =
+                std::mem::take(&mut *buffers[item].lock().expect("sample buffer poisoned"));
+            let tally = self.scan_range(&shards[*shard], ids.clone(), sample, k, hists.as_ref());
             if let Some(p) = progress.as_ref() {
                 p.range_done(*shard, tally.total);
             }
@@ -379,6 +389,7 @@ impl OriginPipeline<'_> {
         &self,
         db: &'s PassiveDb,
         ids: Range<usize>,
+        sample: Vec<(u64, &'s str)>,
         k: usize,
         hists: Option<&DetectorHists>,
     ) -> RangeTally<'s> {
@@ -387,7 +398,7 @@ impl OriginPipeline<'_> {
             with_history: 0,
             dga_flagged: 0,
             squat: [0; 5],
-            sample: Vec::with_capacity(ids.len()),
+            sample,
         };
         let mut scratch = SquatScratch::default();
         let interner = db.interner();
