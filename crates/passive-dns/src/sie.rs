@@ -21,6 +21,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{bounded, Sender};
 use nxd_dns_wire::RCode;
@@ -78,6 +79,17 @@ impl SieError {
 #[derive(Clone)]
 pub struct SieProducer {
     tx: Sender<ShardBatch>,
+    spent: Spent,
+}
+
+/// Batches the collector has folded in, handed back for a producer to
+/// free: memory is then released on the thread that allocated it, and the
+/// producer's next batches reuse it instead of growing that thread's
+/// allocator arena while the collector's caches hold on to the pieces.
+type Spent = Arc<Mutex<Vec<PassiveDb>>>;
+
+fn lock_spent(spent: &Spent) -> std::sync::MutexGuard<'_, Vec<PassiveDb>> {
+    spent.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl SieProducer {
@@ -95,6 +107,9 @@ impl SieProducer {
     /// returns [`SieError::Disconnected`] if the collector is gone instead
     /// of panicking the worker thread.
     fn try_submit(&self, shard: PassiveDb) -> Result<(), SieError> {
+        // Free what the collector handed back, outside the lock.
+        let spent = std::mem::take(&mut *lock_spent(&self.spent));
+        drop(spent);
         self.tx
             .send(ShardBatch(shard))
             .map_err(|_| SieError::Disconnected)
@@ -106,19 +121,23 @@ impl SieProducer {
 fn collect_with<F, T>(
     producers: Vec<F>,
     capacity: usize,
-    sink: impl FnOnce(crossbeam::channel::Receiver<ShardBatch>) -> T,
+    sink: impl FnOnce(crossbeam::channel::Receiver<ShardBatch>, &Spent) -> T,
 ) -> Result<T, SieError>
 where
     F: FnOnce(SieProducer) + Send + 'static,
 {
     let (tx, rx) = bounded::<ShardBatch>(capacity.max(1));
+    let spent = Spent::default();
     crossbeam::thread::scope(|scope| {
         for p in producers {
-            let producer = SieProducer { tx: tx.clone() };
+            let producer = SieProducer {
+                tx: tx.clone(),
+                spent: Arc::clone(&spent),
+            };
             scope.spawn(move |_| p(producer));
         }
         drop(tx);
-        sink(rx)
+        sink(rx, &spent)
     })
     .map_err(SieError::from_panic)
 }
@@ -132,10 +151,11 @@ pub fn collect_parallel<F>(producers: Vec<F>, capacity: usize) -> Result<Passive
 where
     F: FnOnce(SieProducer) + Send + 'static,
 {
-    collect_with(producers, capacity, |rx| {
+    collect_with(producers, capacity, |rx, spent| {
         let mut db = PassiveDb::new();
         for ShardBatch(shard) in rx {
             db.merge(&shard);
+            lock_spent(spent).push(shard);
         }
         db
     })
@@ -153,10 +173,11 @@ pub fn collect_sharded<F>(
 where
     F: FnOnce(SieProducer) + Send + 'static,
 {
-    collect_with(producers, capacity, |rx| {
+    collect_with(producers, capacity, |rx, spent| {
         let mut store = ShardedStore::new(shards);
         for ShardBatch(shard) in rx {
             store.merge_db(&shard);
+            lock_spent(spent).push(shard);
         }
         store
     })
@@ -191,7 +212,7 @@ where
     F: FnOnce(SieProducer) + Send + 'static,
 {
     let engine = engine.clone();
-    collect_with(producers, capacity, move |rx| {
+    collect_with(producers, capacity, move |rx, spent| {
         let mut store = ShardedStore::new(shards);
         let mut late = PassiveDb::new();
         for ShardBatch(shard) in rx.iter() {
@@ -200,6 +221,7 @@ where
             if admissions.iter().all(|&a| a == Admission::Admitted) {
                 // Fast path: the whole batch was admitted, merge wholesale.
                 store.merge_db(&shard);
+                lock_spent(spent).push(shard);
                 continue;
             }
             for (obs, admission) in shard.rows().zip(&admissions) {
@@ -214,6 +236,7 @@ where
                     }
                 }
             }
+            lock_spent(spent).push(shard);
         }
         engine.set_queue_depth(0);
         StreamOutcome { store, late }
@@ -354,7 +377,10 @@ mod tests {
         // thread from inside `submit`; the streaming path needs the typed
         // error so a mid-run shutdown can drain gracefully.
         let (tx, rx) = bounded::<ShardBatch>(1);
-        let producer = SieProducer { tx };
+        let producer = SieProducer {
+            tx,
+            spent: Spent::default(),
+        };
         drop(rx);
         let mut shard = PassiveDb::new();
         shard.record_str("orphan.com", 1, 0, RCode::NxDomain, 1);
